@@ -1,14 +1,20 @@
 """Assembly of polygon and ring distance distributions.
 
-A polygon is triangulated; the distance CDF is the area-weighted
-probabilistic sum over all ordered triangle pairs,
+A polygon's distance curve is one sweep over its even-odd chords.  A
+ring (outer minus hole) takes one sweep each for the outer, hole and
+hole-to-ring curves, all on the outer polygon's lines, and solves the
+area-weighted identity of the outer = hole + ring split for the
+ring-only curve.  The scaling law maps any normalized curve to an
+arbitrary size.
+
+The paper's decomposition stays as the cross-check route: a
+triangulated region's curve is the probabilistic sum over all ordered
+triangle pairs,
 
     F = sum_i sum_j (S_i * S_j / S**2) * F_ij,
 
-with F_ii the within-triangle and F_ij the cross-pair curves.  Ring
-(outer minus hole) quantities come from the same identity applied to
-the outer = hole + ring split, solved for the ring-only curve.  The
-scaling law maps any normalized curve to an arbitrary size.
+with F_ii the within-triangle and F_ij the cross-pair curves
+(``RegionPartition``, ``between_regions_pdd``).
 """
 
 from __future__ import annotations
@@ -22,22 +28,20 @@ from .geom import (
     GeometryError,
     SimplePolygon,
     Triangle,
+    check_ring,
     classify_pair,
     hull_diameter,
-    triangulate,
-    triangulate_ring,
 )
 from .km_engine import (
     CdfCurve,
     DensityCurve,
     DiagnosticError,
-    ConvexSource,
-    DifferenceSource,
     KMConfig,
+    PolygonSource,
     cross_pair_pdf,
     pdf_to_cdf,
     sweep_between,
-    within_convex_pdf,
+    sweep_within,
     within_triangle_pdf,
 )
 
@@ -53,10 +57,6 @@ __all__ = [
 
 # ring solve: tolerated monotonicity/range defect of the solved CDF
 RING_SOLVE_TOL = 5e-3
-
-# beyond this many pairwise sweeps, convex regions take the single-sweep
-# route (identical by kernel additivity, see km_engine docstring)
-PAIRWISE_SWEEP_BUDGET = 64
 
 
 def _resample_pdf(curve: DensityCurve, d_max: float, n: int) -> np.ndarray:
@@ -166,27 +166,21 @@ def weighted_mixture(curves, weights) -> CdfCurve:
 
 
 def polygon_pdd(poly: SimplePolygon | Triangle, cfg: KMConfig | None = None) -> CdfCurve:
-    """Distance CDF between two uniform points of a simple polygon."""
+    """Distance CDF between two uniform points of a simple polygon, from
+    one sweep over its chords."""
     cfg = cfg or KMConfig()
     if isinstance(poly, Triangle):
-        tris = [poly]
-        d_max = poly.diameter
-        area = poly.area
+        pdf = within_triangle_pdf(poly, cfg)
     else:
-        tris = triangulate(poly)
-        d_max = poly.diameter
-        area = poly.area
-    part = RegionPartition.from_triangles(tris, cfg, d_max=d_max, total_area=area)
-    cdf_vals, pdf_vals = part.mixture()
+        pdf = sweep_within(PolygonSource(poly.vertices), poly.area, poly.diameter, cfg)
     meta = {
         "region": "polygon",
-        "n_triangles": len(tris),
-        "area": area,
-        "pdf_values": pdf_vals,
+        "area": poly.area,
+        "pdf_values": pdf.values,
         "config": {"d_theta": cfg.d_theta, "d_p": cfg.d_p,
                    "grid_points": cfg.grid_points},
     }
-    return CdfCurve(d_max, cdf_vals, meta)
+    return CdfCurve(pdf.d_max, pdf_to_cdf(pdf).values, meta)
 
 
 def between_regions_pdd(part_a, part_b, cfg: KMConfig | None = None,
@@ -234,9 +228,7 @@ class RingSpec:
     hole: SimplePolygon
 
     def __post_init__(self):
-        # triangulate_ring performs the strict containment and crossing
-        # checks; run them eagerly so bad specs fail at construction
-        triangulate_ring(self.outer, self.hole)
+        check_ring(self.outer, self.hole)
         if self.ring_area <= 0.0:
             raise GeometryError("ring area must be positive")
 
@@ -287,38 +279,18 @@ def ring_pdd(ring: RingSpec, cfg: KMConfig | None = None) -> dict[str, CdfCurve]
     d_max = ring.outer.diameter
     grid = np.linspace(0.0, d_max, cfg.grid_points + 1)
 
-    ring_tris = triangulate_ring(ring.outer, ring.hole)
-    hole_tris = triangulate(ring.hole)
-
-    f11 = polygon_pdd(ring.outer, cfg)
-    f11_vals = _resample_cdf_values(grid, f11)
-    f11_pdf = np.interp(grid, f11.grid, f11.meta["pdf_values"], right=0.0)
-
-    hole_budget = len(hole_tris) * (len(hole_tris) + 1) // 2
-    if ring.hole.is_convex() and hole_budget > PAIRWISE_SWEEP_BUDGET:
-        pdf22 = within_convex_pdf(ring.hole, cfg)
-        f22_vals = _resample_cdf_values(grid, pdf_to_cdf(pdf22))
-        f22_pdf = _resample_pdf(pdf22, d_max, cfg.grid_points)
-    else:
-        f22 = polygon_pdd(ring.hole, cfg)
-        f22_vals = _resample_cdf_values(grid, f22)
-        f22_pdf = np.interp(grid, f22.grid, f22.meta["pdf_values"], right=0.0)
-
-    cross_budget = len(hole_tris) * len(ring_tris)
-    if (ring.hole.is_convex() and ring.outer.is_convex()
-            and cross_budget > PAIRWISE_SWEEP_BUDGET):
-        pdf23 = sweep_between(
-            ConvexSource(ring.hole.vertices), s2,
-            DifferenceSource(ring.outer.vertices, ring.hole.vertices), s3,
-            d_max, cfg, p_ref=d_max,
-            meta={"region": "hole-ring"},
-        )
-        f23_vals = _resample_cdf_values(grid, pdf_to_cdf(pdf23))
-        f23_pdf = _resample_pdf(pdf23, d_max, cfg.grid_points)
-    else:
-        f23 = between_regions_pdd(hole_tris, ring_tris, cfg, d_max=d_max)
-        f23_vals = f23.values
-        f23_pdf = f23.meta["pdf_values"]
+    # all three sweeps run on the outer polygon's lines, so the
+    # discretization errors largely cancel in the solve for F33
+    outer = PolygonSource(ring.outer.vertices)
+    hole = PolygonSource(ring.hole.vertices)
+    pdf11 = sweep_within(outer, s1, d_max, cfg)
+    pdf22 = sweep_within(hole, s2, ring.hole.diameter, cfg, frame=outer)
+    pdf23 = sweep_between(hole, s2, PolygonSource(ring.outer.vertices, ring.hole.vertices),
+                          s3, d_max, cfg, frame=outer)
+    f11_vals, f22_vals, f23_vals = (
+        _resample_cdf_values(grid, pdf_to_cdf(pdf)) for pdf in (pdf11, pdf22, pdf23))
+    f11_pdf, f22_pdf, f23_pdf = (
+        _resample_pdf(pdf, d_max, cfg.grid_points) for pdf in (pdf11, pdf22, pdf23))
 
     raw33 = (s1 * s1 * f11_vals - s2 * s2 * f22_vals
              - 2.0 * s2 * s3 * f23_vals) / (s3 * s3)

@@ -1,7 +1,8 @@
 """Planar geometry for distance-distribution computations.
 
-Triangles, simple polygons, oriented lines in (theta, p) coordinates, and the
-clipping / classification operations the distribution engines are built on.
+Triangles, simple polygons, convex clipping of lines in (theta, p)
+coordinates, and the classification operations the distribution engines are
+built on.
 
 Conventions used throughout the package:
 
@@ -53,21 +54,6 @@ def _signed_area(vertices: np.ndarray) -> float:
     x = vertices[:, 0]
     y = vertices[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-
-def polygon_area(polygon) -> float:
-    """Positive area of a polygon via the shoelace formula.
-
-    Accepts a SimplePolygon, a Triangle, or a raw vertex sequence (any
-    orientation; the absolute value is returned).
-    """
-    if isinstance(polygon, (SimplePolygon, Triangle)):
-        vertices = polygon.vertices
-    else:
-        vertices = _as_points(polygon)
-    if len(vertices) < 3:
-        raise GeometryError("a polygon needs at least 3 vertices")
-    return abs(_signed_area(vertices))
 
 
 def _feature_scale(vertices: np.ndarray) -> float:
@@ -355,64 +341,8 @@ def _min_boundary_distance(pa: np.ndarray, pb: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Lines and chords
+# Convex clipping
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LineCoord:
-    """An oriented line in (theta, p) coordinates, theta in [0, pi)."""
-
-    theta: float
-    p: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta < math.pi:
-            raise GeometryError(f"line orientation must lie in [0, pi), got {self.theta}")
-
-    @property
-    def direction(self) -> Point2:
-        return (math.cos(self.theta), math.sin(self.theta))
-
-    @property
-    def normal(self) -> Point2:
-        return (-math.sin(self.theta), math.cos(self.theta))
-
-    def point_at(self, t: float) -> Point2:
-        ux, uy = self.direction
-        nx, ny = self.normal
-        return (self.p * nx + t * ux, self.p * ny + t * uy)
-
-
-@dataclass(frozen=True)
-class ChordSet:
-    """Intersection of a line with a region: interior intervals in t.
-
-    ``intervals`` is sorted along the line.  ``l1``, ``l2``, ``l3`` describe
-    the two-interval case: first length, gap, second length.  For a clipped
-    triangle pair, l1 and l3 are bound to the first and second triangle and
-    l2 is the gap between the two chords (0 when they touch).
-    """
-
-    intervals: tuple[tuple[float, float], ...]
-    l1: float = 0.0
-    l2: float = 0.0
-    l3: float = 0.0
-
-    @classmethod
-    def from_intervals(cls, intervals) -> "ChordSet":
-        ivals = tuple(sorted((float(t0), float(t1)) for t0, t1 in intervals))
-        l1 = l2 = l3 = 0.0
-        if len(ivals) >= 1:
-            l1 = ivals[0][1] - ivals[0][0]
-        if len(ivals) >= 2:
-            l3 = ivals[1][1] - ivals[1][0]
-            l2 = max(0.0, ivals[1][0] - ivals[0][1])
-        return cls(ivals, l1, l2, l3)
-
-    @property
-    def total_length(self) -> float:
-        return sum(t1 - t0 for t0, t1 in self.intervals)
 
 
 class ConvexClipper:
@@ -464,101 +394,6 @@ class ConvexClipper:
             else:
                 np.minimum(t_hi, bound, out=t_hi)
         return t_lo, t_hi
-
-
-def _region_vertex_array(region) -> np.ndarray:
-    if isinstance(region, (Triangle, SimplePolygon)):
-        return region.vertices
-    if isinstance(region, TrianglePairSpec):
-        return np.vstack([region.tri_a.vertices, region.tri_b.vertices])
-    if isinstance(region, (tuple, list)) and all(isinstance(t, Triangle) for t in region):
-        return np.vstack([t.vertices for t in region])
-    return _as_points(region)
-
-
-def support_interval(region, theta: float) -> tuple[float, float]:
-    """Offset range (p_lo, p_hi) of lines at orientation theta meeting the
-    convex hull of the region (a triangle, polygon, pair, or vertex set)."""
-    v = _region_vertex_array(region)
-    nx, ny = -math.sin(theta), math.cos(theta)
-    proj = v[:, 0] * nx + v[:, 1] * ny
-    return float(proj.min()), float(proj.max())
-
-
-def clip_line(region, line: LineCoord) -> ChordSet:
-    """Maximal intervals of ``line`` interior to ``region``.
-
-    ``region`` may be a Triangle (at most one interval), a TrianglePairSpec
-    (chords of both triangles, with l1/l2/l3 populated) or a SimplePolygon
-    (any number of intervals, concave boundaries included).  Tangent contact
-    of zero length is reported as no interval.
-    """
-    if isinstance(region, Triangle):
-        ival = _convex_interval(region.vertices, line)
-        return ChordSet.from_intervals([ival] if ival else [])
-    if isinstance(region, TrianglePairSpec):
-        ia = _convex_interval(region.tri_a.vertices, line)
-        ib = _convex_interval(region.tri_b.vertices, line)
-        intervals = [iv for iv in (ia, ib) if iv]
-        l1 = ia[1] - ia[0] if ia else 0.0
-        l3 = ib[1] - ib[0] if ib else 0.0
-        l2 = 0.0
-        if ia and ib:
-            l2 = max(0.0, max(ia[0], ib[0]) - min(ia[1], ib[1]))
-        return ChordSet(tuple(sorted(intervals)), l1, l2, l3)
-    if isinstance(region, SimplePolygon):
-        if region.is_convex():
-            ival = _convex_interval(region.vertices, line)
-            return ChordSet.from_intervals([ival] if ival else [])
-        return _clip_general(region, line)
-    raise GeometryError(f"cannot clip region of type {type(region).__name__}")
-
-
-def _convex_interval(vertices, line: LineCoord):
-    t_lo, t_hi = ConvexClipper(vertices).chord(line.theta, line.p)
-    lo, hi = float(t_lo[0]), float(t_hi[0])
-    if hi - lo <= EPS_SNAP * _feature_scale(_as_points(vertices)):
-        return None
-    return (lo, hi)
-
-
-def _clip_general(polygon: SimplePolygon, line: LineCoord) -> ChordSet:
-    v = polygon.vertices
-    scale = _feature_scale(v)
-    ux, uy = line.direction
-    nx, ny = line.normal
-    s = v[:, 0] * nx + v[:, 1] * ny - line.p
-    t = v[:, 0] * ux + v[:, 1] * uy
-    eps = EPS_SNAP * scale
-
-    candidates = list(t[np.abs(s) <= eps])  # grazing vertices snap to the vertex
-    n = len(v)
-    for i in range(n):
-        j = (i + 1) % n
-        if s[i] > eps and s[j] < -eps or s[i] < -eps and s[j] > eps:
-            lam = s[i] / (s[i] - s[j])
-            candidates.append(t[i] + lam * (t[j] - t[i]))
-    if len(candidates) < 2:
-        return ChordSet.from_intervals([])
-    candidates.sort()
-    merged = [candidates[0]]
-    for tc in candidates[1:]:
-        if tc - merged[-1] > eps:
-            merged.append(tc)
-    if len(merged) < 2:
-        return ChordSet.from_intervals([])
-
-    intervals: list[tuple[float, float]] = []
-    px, py = line.p * nx, line.p * ny
-    for t0, t1 in zip(merged[:-1], merged[1:]):
-        tm = 0.5 * (t0 + t1)
-        mid = (px + tm * ux, py + tm * uy)
-        if point_in_polygon(v, mid):
-            if intervals and abs(intervals[-1][1] - t0) <= eps:
-                intervals[-1] = (intervals[-1][0], t1)
-            else:
-                intervals.append((t0, t1))
-    return ChordSet.from_intervals(intervals)
 
 
 # ---------------------------------------------------------------------------
@@ -821,14 +656,8 @@ def triangulate(polygon: SimplePolygon | Triangle) -> list[Triangle]:
     return [Triangle.from_vertices(*tri) for tri in _ear_clip(v)]
 
 
-def triangulate_ring(outer: SimplePolygon, hole: SimplePolygon) -> list[Triangle]:
-    """Triangulate the region between an outer polygon and a strictly
-    interior hole.
-
-    The ring is converted to a single (weakly simple) loop by a bridge cut
-    between the nearest hole/outer vertex pair, then ear-clipped.  The bridge
-    has zero width, so the triangle areas sum to outer minus hole area.
-    """
+def check_ring(outer: SimplePolygon, hole: SimplePolygon) -> None:
+    """Raise GeometryError unless ``hole`` lies strictly inside ``outer``."""
     vo = outer.vertices
     vh = hole.vertices
     if not bool(np.all(point_in_polygon(vo, vh))):
@@ -844,6 +673,19 @@ def triangulate_ring(outer: SimplePolygon, hole: SimplePolygon) -> list[Triangle
             if _proper_crossing(a, b, c, d, EPS_CROSS * scale):
                 raise GeometryError("hole boundary crosses the outer boundary")
 
+
+def triangulate_ring(outer: SimplePolygon, hole: SimplePolygon) -> list[Triangle]:
+    """Triangulate the region between an outer polygon and a strictly
+    interior hole.
+
+    The ring is converted to a single (weakly simple) loop by a bridge cut
+    between the nearest hole/outer vertex pair, then ear-clipped.  The bridge
+    has zero width, so the triangle areas sum to outer minus hole area.
+    """
+    check_ring(outer, hole)
+    vo = outer.vertices
+    vh = hole.vertices
+    no, nh = len(vo), len(vh)
     diff = vo[:, None, :] - vh[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=2))
     i_out, j_hole = np.unravel_index(int(np.argmin(dist)), dist.shape)

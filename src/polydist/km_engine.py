@@ -51,9 +51,9 @@ class KMConfig:
 
     d_theta   orientation step (radians); the sweep uses round(pi/d_theta)
               midpoints of [0, pi).
-    d_p       offset step as a fraction of the reference diameter; within
-              each orientation the step is shrunk to divide the support
-              width evenly.
+    d_p       offset step as a fraction of the sweep frame's diameter;
+              within each orientation the step is shrunk to divide the
+              frame's support width evenly.
     grid_points  number N of grid cells; curves carry N+1 samples at
               d_k = k * d_max / N.
     """
@@ -256,6 +256,60 @@ class DifferenceSource:
         return [first, second]
 
 
+class PolygonSource:
+    """Chords of the even-odd interior of one or more closed vertex loops.
+
+    A simple polygon is one loop; each hole, convex or not, is one more
+    loop.  On every line the edges crossing it (half-open rule: an edge
+    crosses when exactly one endpoint lies strictly above the line) are
+    sorted along the line, and consecutive crossings pair up into the
+    interior intervals.  Piece j of the result is the j-th interval on each
+    line, empty where a line has fewer; like the convex sources, it always
+    returns at least one piece.
+    """
+
+    def __init__(self, *loops):
+        arrays = [_as_loop(loop) for loop in loops]
+        if not arrays:
+            raise ValueError("polygon source needs at least one loop")
+        self.vertices = np.vstack(arrays)
+        self._ends = np.vstack([np.roll(a, -1, axis=0) for a in arrays])
+
+    def support(self, theta: float) -> tuple[float, float]:
+        nx, ny = -math.sin(theta), math.cos(theta)
+        proj = self.vertices[:, 0] * nx + self.vertices[:, 1] * ny
+        return float(proj.min()), float(proj.max())
+
+    def chords(self, theta: float, p: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        p = np.atleast_1d(np.asarray(p, dtype=np.float64))[:, None]
+        ux, uy = math.cos(theta), math.sin(theta)
+        nx, ny = -uy, ux
+        a, b = self.vertices, self._ends
+        s_a = a[:, 0] * nx + a[:, 1] * ny
+        s_b = b[:, 0] * nx + b[:, 1] * ny
+        t_a = a[:, 0] * ux + a[:, 1] * uy
+        t_b = b[:, 0] * ux + b[:, 1] * uy
+        crosses = (s_a > p) != (s_b > p)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = t_a + (t_b - t_a) * ((p - s_a) / (s_b - s_a))
+        t = np.sort(np.where(crosses, t, np.inf), axis=1)
+        # closed loops cross every line an even number of times
+        count = crosses.sum(axis=1)
+        pieces = []
+        for j in range(0, max(2, int(count.max(initial=0))), 2):
+            inside = count > j
+            pieces.append((np.where(inside, t[:, j], 0.0),
+                           np.where(inside, t[:, j + 1], 0.0)))
+        return pieces
+
+
+def _as_loop(vertices) -> np.ndarray:
+    arr = np.asarray(vertices, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] != 2 or len(arr) < 3:
+        raise ValueError(f"a loop needs an (n >= 3, 2) vertex array, got shape {arr.shape}")
+    return arr
+
+
 def _clean_pieces(pieces):
     """Convert (t_lo, t_hi) bounds to (start, length) with empties at zero."""
     cleaned = []
@@ -339,27 +393,50 @@ def _theta_steps(cfg: KMConfig) -> tuple[int, float]:
     return k, math.pi / k
 
 
-def sweep_within(source, area: float, d_max: float, cfg: KMConfig,
-                 p_ref: float | None = None, meta: dict | None = None) -> DensityCurve:
-    """Distance density of two uniform points in one region.
+def _lattice(frame, frame_diameter: float, sources, cfg: KMConfig):
+    """The lines one sweep visits, as (theta, offsets, measure weight).
 
-    ``source`` provides the region's chords; ``area`` its area; ``d_max``
-    its diameter.  ``p_ref`` overrides the reference diameter for the
-    offset step (defaults to d_max).
+    At each orientation the lattice lines are the midpoints of
+    ceil(width / (d_p * frame_diameter)) equal cells spanning the frame's
+    support; the sweep keeps those that fall inside every source's support.
+    Sweeps sharing one frame therefore see the same lines, so their
+    discretization errors match where their curves are combined.
     """
     n_theta, d_theta = _theta_steps(cfg)
-    dp_nom = cfg.d_p * (p_ref if p_ref is not None else d_max)
-    bins = _KernelBins(cfg.grid_points, d_max)
+    dp_nom = cfg.d_p * frame_diameter
     for j in range(n_theta):
         theta = (j + 0.5) * d_theta
-        lo, hi = source.support(theta)
-        width = hi - lo
-        if width <= 0.0:
+        f_lo, f_hi = frame.support(theta)
+        lo, hi = f_lo, f_hi
+        for src in sources:
+            if src is not frame:
+                s_lo, s_hi = src.support(theta)
+                lo, hi = max(lo, s_lo), min(hi, s_hi)
+        width = f_hi - f_lo
+        if width <= 0.0 or hi <= lo:
             continue
         m = max(1, math.ceil(width / dp_nom))
         dp = width / m
-        p = lo + (np.arange(m) + 0.5) * dp
-        w = dp * d_theta
+        first = max(0, math.ceil((lo - f_lo) / dp - 0.5))
+        stop = min(m, math.ceil((hi - f_lo) / dp - 0.5))
+        if stop > first:
+            yield theta, f_lo + (np.arange(first, stop) + 0.5) * dp, dp * d_theta
+
+
+def sweep_within(source, area: float, d_max: float, cfg: KMConfig,
+                 frame=None, meta: dict | None = None) -> DensityCurve:
+    """Distance density of two uniform points in one region.
+
+    ``source`` provides the region's chords; ``area`` its area; ``d_max``
+    its diameter.  The lines come from the lattice of ``frame`` (see
+    ``_lattice``), by default the source itself with diameter d_max.
+    """
+    if frame is None:
+        frame, frame_diameter = source, d_max
+    else:
+        frame_diameter = hull_diameter(frame.vertices)
+    bins = _KernelBins(cfg.grid_points, d_max)
+    for theta, p, w in _lattice(frame, frame_diameter, [source], cfg):
         pieces = _clean_pieces(source.chords(theta, p))
         for start, length in pieces:
             bins.add_ramp_down(length, w)
@@ -374,28 +451,16 @@ def sweep_within(source, area: float, d_max: float, cfg: KMConfig,
 
 
 def sweep_between(source_a, area_a: float, source_b, area_b: float,
-                  d_max: float, cfg: KMConfig, p_ref: float,
+                  d_max: float, cfg: KMConfig, frame,
                   meta: dict | None = None) -> DensityCurve:
     """Distance density between points of two interior-disjoint regions.
 
-    Only lines meeting both supports contribute; each pair of chord pieces
-    adds its trapezoid cross-correlation.
+    Only lattice lines of ``frame`` meeting both supports contribute; each
+    pair of chord pieces adds its trapezoid cross-correlation.
     """
-    n_theta, d_theta = _theta_steps(cfg)
-    dp_nom = cfg.d_p * p_ref
     bins = _KernelBins(cfg.grid_points, d_max)
-    for j in range(n_theta):
-        theta = (j + 0.5) * d_theta
-        lo_a, hi_a = source_a.support(theta)
-        lo_b, hi_b = source_b.support(theta)
-        lo, hi = max(lo_a, lo_b), min(hi_a, hi_b)
-        width = hi - lo
-        if width <= 0.0:
-            continue
-        m = max(1, math.ceil(width / dp_nom))
-        dp = width / m
-        p = lo + (np.arange(m) + 0.5) * dp
-        w = dp * d_theta
+    lines = _lattice(frame, hull_diameter(frame.vertices), [source_a, source_b], cfg)
+    for theta, p, w in lines:
         pieces_a = _clean_pieces(source_a.chords(theta, p))
         pieces_b = _clean_pieces(source_b.chords(theta, p))
         for sa, la in pieces_a:
@@ -450,7 +515,6 @@ def cross_pair_pdf(pair: TrianglePairSpec, cfg: KMConfig | None = None) -> Densi
     """Density of the distance between uniform points of two disjoint-interior
     triangles (shared side, shared vertex, or fully disjoint)."""
     cfg = cfg or KMConfig()
-    stacked = np.vstack([pair.tri_a.vertices, pair.tri_b.vertices])
     meta = {
         "region": "triangle_pair",
         "kind": pair.kind,
@@ -464,6 +528,6 @@ def cross_pair_pdf(pair: TrianglePairSpec, cfg: KMConfig | None = None) -> Densi
         pair.areas[1],
         pair.max_distance,
         cfg,
-        p_ref=hull_diameter(stacked),
+        frame=PolygonSource(pair.tri_a.vertices, pair.tri_b.vertices),
         meta=meta,
     )

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 
-from polydist.geom import LineCoord, SimplePolygon, Triangle, classify_pair
+from polydist.geom import SimplePolygon, Triangle, classify_pair
 
 
 def regular_polygon(n: int, side: float = 1.0, start: int = 0) -> SimplePolygon:
@@ -50,11 +50,11 @@ CONVEX_PAIR_ANGLES = ((120, 25, 35), (80, 50, 50))
 CONCAVE_PAIR_ANGLES = ((40, 30, 110), (15, 5, 160))
 
 
-def line_through(p0, p1) -> LineCoord:
-    """The (theta, p) line through two points."""
+def line_through(p0, p1) -> tuple[float, float]:
+    """The (theta, p) coordinates of the line through two points."""
     theta = math.atan2(p1[1] - p0[1], p1[0] - p0[0]) % math.pi
     p = -p0[0] * math.sin(theta) + p0[1] * math.cos(theta)
-    return LineCoord(theta, p)
+    return theta, p
 
 
 def random_triangle(rng, min_angle_deg: float = 8.0) -> Triangle:

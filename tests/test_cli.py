@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,3 +253,27 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "polydist" in capsys.readouterr().out
+
+
+def readme_command_lines():
+    """The ``polydist`` lines of the README's command-line block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    return [line for line in block.splitlines() if line.startswith("polydist ")]
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    lines = readme_command_lines()
+    assert len(lines) == 7
+    for name, data in {
+        "tri.json": {"angles": [80, 70, 30]},
+        "a.json": {"vertices": [[0, 0], [1, 0], [0.5, 0.9]]},
+        "b.json": {"vertices": [[0, 0], [0.5, -0.8], [1, 0]]},
+        "pentagon.json": {"vertices": regular_polygon(5).vertices.tolist()},
+        "outer.json": {"vertices": square(0.5).vertices.tolist()},
+        "hole.json": {"vertices": square(0.3).vertices.tolist()},
+    }.items():
+        write_geometry(tmp_path / name, data)
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line

@@ -1,4 +1,4 @@
-"""Tests for triangulated recomposition and ring solving."""
+"""Tests for polygon and ring curves, and the triangle-pair cross-check route."""
 
 import math
 
@@ -29,7 +29,10 @@ from polydist import (
     weighted_mixture,
     within_triangle_pdf,
 )
+from polydist import compose
 from polydist.compose import RegionPartition
+from polydist.geom import approximate_disk
+from polydist.km_engine import DifferenceSource, sweep_within
 
 from shapes import regular_polygon, square
 
@@ -82,7 +85,64 @@ def test_polygon_pdd_triangle_is_the_plain_sweep():
     via_polygon = polygon_pdd(tri, FAST)
     direct = pdf_to_cdf(within_triangle_pdf(tri, FAST))
     np.testing.assert_array_equal(via_polygon.values, direct.values)
-    assert via_polygon.meta["n_triangles"] == 1
+
+
+L_SHAPE = SimplePolygon(np.array([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]], dtype=float))
+
+
+@pytest.mark.parametrize("poly", [regular_polygon(5), regular_polygon(6), L_SHAPE],
+                         ids=["pentagon", "hexagon", "L"])
+def test_polygon_pdd_matches_triangle_pair_route(poly):
+    # one sweep over the polygon against the paper's decomposition into
+    # triangle pairs: the same kernels, split differently along each line
+    one = polygon_pdd(poly, FAST)
+    part = RegionPartition.from_triangles(triangulate(poly), FAST, d_max=poly.diameter,
+                                          total_area=poly.area)
+    mixed, _ = part.mixture()
+    assert np.max(np.abs(one.values - mixed)) < 1e-4
+
+
+def test_sliver_ear_star_vs_mc():
+    # ear clipping leaves a (173, 3.5, 3.1) degree sliver triangle in this
+    # star whose own sweep fails its mass check at FAST; the polygon as a
+    # whole sweeps cleanly
+    star = SimplePolygon(np.array([
+        [0.941442, -0.080081], [0.379592, 0.39688], [-0.190401, 0.922557],
+        [-0.498013, 0.175458], [-0.919809, -0.344457], [-0.130762, -0.568271],
+        [0.595819, -0.686893],
+    ]))
+    cdf = polygon_pdd(star, FAST)
+    ecdf = pdd_mc(star, star, SampleConfig(n_pairs=50_000, seed=707))
+    assert ks_distance(cdf, ecdf) < 0.01
+
+
+def test_polygon_and_ring_sweep_once_per_curve(monkeypatch):
+    sweeps = []
+
+    def record(sweep):
+        def wrapper(*args, **kwargs):
+            sweeps.append(kwargs.get("frame") or args[0])
+            return sweep(*args, **kwargs)
+        return wrapper
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the default routes do not decompose into triangle pairs")
+
+    monkeypatch.setattr(compose, "sweep_within", record(compose.sweep_within))
+    monkeypatch.setattr(compose, "sweep_between", record(compose.sweep_between))
+    monkeypatch.setattr(compose, "classify_pair", forbidden)
+    monkeypatch.setattr(compose, "cross_pair_pdf", forbidden)
+
+    polygon_pdd(L_SHAPE, FAST)
+    assert len(sweeps) == 1
+
+    sweeps.clear()
+    ring = RingSpec(square(0.5), square(0.3))
+    ring_pdd(ring, FAST)
+    # F11, F22 and F23, each on the outer polygon's lines
+    assert len(sweeps) == 3
+    for frame in sweeps:
+        np.testing.assert_array_equal(frame.vertices, ring.outer.vertices)
 
 
 def test_pentagon_pair_weights_group_by_congruence():
@@ -216,6 +276,18 @@ def test_square_ring_solved_cdf():
                                           total_area=s3)
     direct_vals, _ = part.mixture()
     assert np.max(np.abs(direct_vals - f33.values)) < 5e-4
+
+
+@pytest.mark.parametrize("outer, hole", [
+    (square(0.5), square(0.3)),
+    (regular_polygon(6), approximate_disk((0.0, 0.0), 0.7, 64)),
+], ids=["square", "hexagon-disk"])
+def test_ring_f33_matches_one_sweep_over_the_ring(outer, hole):
+    cfg = KMConfig(math.pi / 180, 1.0 / 500, 200)
+    f33 = ring_pdd(RingSpec(outer, hole), cfg)["F33"]
+    direct = pdf_to_cdf(sweep_within(DifferenceSource(outer.vertices, hole.vertices),
+                                     outer.area - hole.area, outer.diameter, cfg))
+    assert np.max(np.abs(f33.values - direct.values)) < 1e-4
 
 
 def test_vanishing_hole_recovers_outer():

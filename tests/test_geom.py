@@ -1,4 +1,8 @@
-"""Geometry layer: canonical triangles, polygons, clipping, pair classification."""
+"""Geometry layer: canonical triangles, polygons, clipping, pair classification.
+
+Line clipping is tested through ``PolygonSource``, the engine's chord
+source for arbitrary loops.
+"""
 import math
 
 import numpy as np
@@ -6,19 +10,16 @@ import pytest
 
 from polydist.geom import (
     GeometryError,
-    LineCoord,
     SimplePolygon,
     Triangle,
     approximate_disk,
     canonicalize_triangle,
     classify_pair,
-    clip_line,
     geometry_from_spec,
     hull_diameter,
-    polygon_area,
-    support_interval,
     triangulate,
 )
+from polydist.km_engine import ConvexSource, PolygonSource
 from shapes import line_through, pair_from_angles, regular_polygon, square
 from shapes import CONCAVE_PAIR_ANGLES, CONVEX_PAIR_ANGLES
 
@@ -72,10 +73,13 @@ def test_canonical_rejections():
 
 
 def test_polygon_area_examples():
-    assert polygon_area([(0, 0), (1, 0), (1, 1), (0, 1)]) == pytest.approx(1.0)
-    assert polygon_area([(0, 0), (1, 0), (0, 1)]) == pytest.approx(0.5)
+    def area(points):
+        return SimplePolygon(np.array(points, dtype=float)).area
+
+    assert area([(0, 0), (1, 0), (1, 1), (0, 1)]) == pytest.approx(1.0)
+    assert area([(0, 0), (1, 0), (0, 1)]) == pytest.approx(0.5)
     # clockwise listing: area still positive
-    assert polygon_area([(0, 0), (0, 1), (1, 1), (1, 0)]) == pytest.approx(1.0)
+    assert area([(0, 0), (0, 1), (1, 1), (1, 0)]) == pytest.approx(1.0)
 
 
 def test_simple_polygon_validation():
@@ -139,43 +143,50 @@ def test_triangulation_partition_random_polygons():
             assert tuple(np.round(v, 9)) in corners
 
 
+def chords(region, theta, p):
+    """(start, end) pairs of the interior intervals of one line, in order."""
+    pieces = PolygonSource(region.vertices).chords(theta, np.array([p]))
+    return [(float(t0[0]), float(t1[0])) for t0, t1 in pieces if t1[0] > t0[0]]
+
+
+def total_length(region, theta, p):
+    return sum(t1 - t0 for t0, t1 in chords(region, theta, p))
+
+
 def test_support_interval_examples():
     tri = canonicalize_triangle(angles=[math.pi / 3] * 3)
-    lo, hi = support_interval(tri, 0.0)
+    lo, hi = PolygonSource(tri.vertices).support(0.0)
     assert hi - lo == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-12)
     sq = square(0.5, center=(0.5, 0.5))
-    lo, hi = support_interval(sq, math.pi / 2.0)
+    lo, hi = PolygonSource(sq.vertices).support(math.pi / 2.0)
     assert hi - lo == pytest.approx(1.0, abs=1e-12)
     # translated copies never meet the same vertical line
     far = Triangle(tri.vertices + np.array([5.0, 0.0]))
-    a = support_interval(tri, math.pi / 2.0)
-    b = support_interval(far, math.pi / 2.0)
+    a = PolygonSource(tri.vertices).support(math.pi / 2.0)
+    b = PolygonSource(far.vertices).support(math.pi / 2.0)
     assert min(a[1], b[1]) < max(a[0], b[0])
 
 
 def test_clip_square_horizontal_line():
     sq = square(0.5, center=(0.5, 0.5))
-    chords = clip_line(sq, LineCoord(0.0, 0.5))
-    assert len(chords.intervals) == 1
-    assert chords.l1 == pytest.approx(1.0, abs=1e-12)
+    (t0, t1), = chords(sq, 0.0, 0.5)
+    assert t1 - t0 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_clip_misses_region():
     tri = canonicalize_triangle(angles=[math.pi / 3] * 3)
-    chords = clip_line(tri, LineCoord(0.0, 2.0))
-    assert chords.intervals == ()
-    assert chords.total_length == 0.0
+    assert chords(tri, 0.0, 2.0) == []
+    assert total_length(tri, 0.0, 2.0) == 0.0
 
 
 def test_clip_concave_quadrangle_two_chords():
     quad = SimplePolygon(np.array([[0, 0], [4, 0], [1, 1], [0, 4]], dtype=float))
-    line = line_through((2.5, 0.0), (0.0, 2.5))  # x + y = 2.5
-    assert line.theta == pytest.approx(3.0 * math.pi / 4.0, abs=1e-12)
-    chords = clip_line(quad, line)
-    assert len(chords.intervals) == 2
-    assert chords.l1 == pytest.approx(0.75 * math.sqrt(2.0), abs=1e-12)
-    assert chords.l2 == pytest.approx(math.sqrt(2.0), abs=1e-12)
-    assert chords.l3 == pytest.approx(0.75 * math.sqrt(2.0), abs=1e-12)
+    theta, p = line_through((2.5, 0.0), (0.0, 2.5))  # x + y = 2.5
+    assert theta == pytest.approx(3.0 * math.pi / 4.0, abs=1e-12)
+    (a0, a1), (b0, b1) = chords(quad, theta, p)
+    assert a1 - a0 == pytest.approx(0.75 * math.sqrt(2.0), abs=1e-12)
+    assert b0 - a1 == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    assert b1 - b0 == pytest.approx(0.75 * math.sqrt(2.0), abs=1e-12)
 
 
 def test_clip_rigid_motion_invariance():
@@ -183,9 +194,9 @@ def test_clip_rigid_motion_invariance():
     tri = canonicalize_triangle(angles=[DEG(80), DEG(70), DEG(30)])
     for _ in range(40):
         theta = float(rng.uniform(0.0, math.pi))
-        lo, hi = support_interval(tri, theta)
+        lo, hi = PolygonSource(tri.vertices).support(theta)
         p = float(rng.uniform(lo, hi))
-        base = clip_line(tri, LineCoord(theta, p))
+        base = total_length(tri, theta, p)
 
         phi = float(rng.uniform(0.0, 2.0 * math.pi))
         shift = rng.uniform(-3.0, 3.0, 2)
@@ -197,26 +208,31 @@ def test_clip_rigid_motion_invariance():
         nrm = np.array([-math.sin(theta), math.cos(theta)])
         q0 = rot @ (p * nrm) + shift
         q1 = rot @ (p * nrm + u) + shift
-        moved = clip_line(moved_tri, line_through(q0, q1))
-        assert moved.total_length == pytest.approx(base.total_length, abs=1e-9)
+        moved = total_length(moved_tri, *line_through(q0, q1))
+        assert moved == pytest.approx(base, abs=1e-9)
 
 
 def test_pair_chord_order_nonnegative():
+    # both triangles of a pair as two loops of one source: the pieces come
+    # sorted along the line, and they split the two convex chords
     rng = np.random.default_rng(13)
     pair = pair_from_angles(*CONVEX_PAIR_ANGLES)
+    both = PolygonSource(pair.tri_a.vertices, pair.tri_b.vertices)
     for _ in range(60):
         theta = float(rng.uniform(0.0, math.pi))
-        al, ah = support_interval(pair.tri_a, theta)
-        bl, bh = support_interval(pair.tri_b, theta)
+        al, ah = PolygonSource(pair.tri_a.vertices).support(theta)
+        bl, bh = PolygonSource(pair.tri_b.vertices).support(theta)
         lo, hi = max(al, bl), min(ah, bh)
         if lo >= hi:
             continue
-        p = float(rng.uniform(lo, hi))
-        got_a = clip_line(pair.tri_a, LineCoord(theta, p))
-        got_b = clip_line(pair.tri_b, LineCoord(theta, p))
-        assert got_a.l1 >= 0.0 and got_b.l1 >= 0.0
-        for ivals in (got_a.intervals, got_b.intervals):
-            assert list(ivals) == sorted(ivals)
+        p = np.array([float(rng.uniform(lo, hi))])
+        pieces = [(float(t0[0]), float(t1[0])) for t0, t1 in both.chords(theta, p)]
+        ends = [t for piece in pieces for t in piece]
+        assert ends == sorted(ends)
+        convex = [ConvexSource(t.vertices).chords(theta, p)[0]
+                  for t in (pair.tri_a, pair.tri_b)]
+        expected = sum(max(0.0, float(t1[0] - t0[0])) for t0, t1 in convex)
+        assert sum(t1 - t0 for t0, t1 in pieces) == pytest.approx(expected, abs=1e-12)
 
 
 def test_cauchy_chord_integral_matches_area():
@@ -225,14 +241,14 @@ def test_cauchy_chord_integral_matches_area():
     for _ in range(3):
         tri = canonicalize_triangle(
             angles=[DEG(t) for t in _random_angles(rng)])
+        src = PolygonSource(tri.vertices)
         diam = tri.diameter
         dp = diam / 2000.0
         for theta in np.linspace(0.0, math.pi, 6, endpoint=False):
-            lo, hi = support_interval(tri, float(theta))
+            lo, hi = src.support(float(theta))
             ps = np.arange(lo + dp / 2.0, hi, dp)
-            total = sum(
-                clip_line(tri, LineCoord(float(theta), float(p))).total_length
-                for p in ps) * dp
+            total = sum(float((t1 - t0).sum())
+                        for t0, t1 in src.chords(float(theta), ps)) * dp
             assert total == pytest.approx(tri.area, rel=1e-3)
 
 

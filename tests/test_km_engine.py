@@ -19,8 +19,13 @@ from polydist import (
     within_convex_pdf,
     within_triangle_pdf,
 )
-from polydist.geom import LineCoord, clip_line
-from polydist.km_engine import ConvexSource, DifferenceSource, UnionSource, sweep_within
+from polydist.km_engine import (
+    ConvexSource,
+    DifferenceSource,
+    PolygonSource,
+    UnionSource,
+    sweep_within,
+)
 from polydist.mc_oracle import SampleConfig, ks_distance, pdd_mc
 
 from shapes import (
@@ -200,22 +205,24 @@ def test_trapezoid_kernel_first_moment():
 # ---------------------------------------------------------------------------
 
 
-def test_convex_source_agrees_with_clip_line():
+def test_convex_source_agrees_with_polygon_source():
+    # two independent vectorized clippers: half-planes against sorted
+    # even-odd edge crossings
     rng = np.random.default_rng(91)
     for _ in range(40):
         tri = random_triangle(rng)
-        src = ConvexSource(tri.vertices)
+        convex = ConvexSource(tri.vertices)
+        loop = PolygonSource(tri.vertices)
         theta = rng.uniform(0.0, math.pi)
-        lo, hi = src.support(theta)
-        p = rng.uniform(lo - 0.1, hi + 0.1)
-        t0, t1 = src.chords(theta, np.array([p]))[0]
-        chords = clip_line(tri, LineCoord(theta, p))
-        if chords.intervals:
-            (a, b), = chords.intervals
-            assert t0[0] == pytest.approx(a, abs=1e-9)
-            assert t1[0] == pytest.approx(b, abs=1e-9)
-        else:
-            assert t1[0] - t0[0] <= 1e-9
+        lo, hi = convex.support(theta)
+        assert loop.support(theta) == pytest.approx((lo, hi), abs=1e-12)
+        p = rng.uniform(lo - 0.1, hi + 0.1, 25)
+        (c0, c1), = convex.chords(theta, p)
+        (t0, t1), = loop.chords(theta, p)
+        hit = c1 - c0 > 1e-9
+        np.testing.assert_allclose(t0[hit], c0[hit], atol=1e-9)
+        np.testing.assert_allclose(t1[hit], c1[hit], atol=1e-9)
+        assert np.all(t1[~hit] - t0[~hit] <= 1e-9)
 
 
 def test_union_source_matches_single_convex_sweep():
@@ -243,6 +250,8 @@ def test_difference_source_matches_triangulated_ring():
     )
     pieces = sweep_within(UnionSource(ring_tris), area, d_max, cfg)
     np.testing.assert_allclose(pieces.values, direct.values, atol=1e-9)
+    loops = sweep_within(PolygonSource(outer.vertices, hole.vertices), area, d_max, cfg)
+    np.testing.assert_allclose(loops.values, direct.values, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
