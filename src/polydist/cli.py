@@ -152,7 +152,6 @@ def _meta(job: JobSpec, extra: dict | None = None) -> dict:
         "method": job.method,
         "config": {
             "d_theta_rad": job.km.d_theta,
-            "d_p": job.km.d_p,
             "grid_points": job.km.grid_points,
             "samples": job.mc.n_pairs,
             "seed": job.mc.seed,
@@ -348,8 +347,6 @@ def _angles_arg(text: str) -> list[float]:
 def _add_numeric_flags(sub, with_method=True):
     sub.add_argument("--dtheta", type=float, default=None,
                      help="orientation step in degrees (default 0.25)")
-    sub.add_argument("--dp", type=float, default=None,
-                     help="offset step as a fraction of the diameter (default 1/2000)")
     sub.add_argument("--grid", type=int, default=None,
                      help="number of output grid cells (default 500)")
     sub.add_argument("--samples", type=int, default=None,
@@ -414,8 +411,6 @@ def job_from_args(args: argparse.Namespace) -> JobSpec:
     km_kwargs = {}
     if args.dtheta is not None:
         km_kwargs["d_theta"] = math.radians(args.dtheta)
-    if args.dp is not None:
-        km_kwargs["d_p"] = args.dp
     if args.grid is not None:
         km_kwargs["grid_points"] = args.grid
     mc_kwargs = {}

@@ -2,7 +2,7 @@
 
 A polygon's distance curve is one sweep over its even-odd chords.  A
 ring (outer minus hole) takes one sweep each for the outer, hole and
-hole-to-ring curves, all on the outer polygon's lines, and solves the
+hole-to-ring curves, all on one orientation rule, and solves the
 area-weighted identity of the outer = hole + ring split for the
 ring-only curve.  The scaling law maps any normalized curve to an
 arbitrary size.
@@ -177,8 +177,7 @@ def polygon_pdd(poly: SimplePolygon | Triangle, cfg: KMConfig | None = None) -> 
         "region": "polygon",
         "area": poly.area,
         "pdf_values": pdf.values,
-        "config": {"d_theta": cfg.d_theta, "d_p": cfg.d_p,
-                   "grid_points": cfg.grid_points},
+        "config": {"d_theta": cfg.d_theta, "grid_points": cfg.grid_points},
     }
     return CdfCurve(pdf.d_max, pdf_to_cdf(pdf).values, meta)
 
@@ -279,14 +278,13 @@ def ring_pdd(ring: RingSpec, cfg: KMConfig | None = None) -> dict[str, CdfCurve]
     d_max = ring.outer.diameter
     grid = np.linspace(0.0, d_max, cfg.grid_points + 1)
 
-    # all three sweeps run on the outer polygon's lines, so the
-    # discretization errors largely cancel in the solve for F33
-    outer = PolygonSource(ring.outer.vertices)
+    # all three sweeps share one orientation rule, so the discretization
+    # errors largely cancel in the solve for F33
     hole = PolygonSource(ring.hole.vertices)
-    pdf11 = sweep_within(outer, s1, d_max, cfg)
-    pdf22 = sweep_within(hole, s2, ring.hole.diameter, cfg, frame=outer)
+    pdf11 = sweep_within(PolygonSource(ring.outer.vertices), s1, d_max, cfg)
+    pdf22 = sweep_within(hole, s2, ring.hole.diameter, cfg)
     pdf23 = sweep_between(hole, s2, PolygonSource(ring.outer.vertices, ring.hole.vertices),
-                          s3, d_max, cfg, frame=outer)
+                          s3, d_max, cfg)
     f11_vals, f22_vals, f23_vals = (
         _resample_cdf_values(grid, pdf_to_cdf(pdf)) for pdf in (pdf11, pdf22, pdf23))
     f11_pdf, f22_pdf, f23_pdf = (

@@ -1,4 +1,4 @@
-"""Distance distributions by discretized integration over the line space.
+"""Distance distributions by integration over the line space.
 
 The engine sweeps the invariant line measure dp dtheta (theta in [0, pi),
 p the signed offset) over a region or a pair of regions.  Every line
@@ -11,15 +11,18 @@ contributes through its chords:
   trapezoid kernel T(d) = max(0, min(d-l2, l1, l3, l1+l2+l3-d)) and the
   line adds d*T(d)/(S1*S2).
 
-Summed with the measure weights dp*dtheta, both densities integrate to 1.
+Integrated against dp dtheta, both densities integrate to 1.
 Note the absent factor 2 in the pair case: chords of disjoint regions
 overlap under a shift in only one of the two directions along the line,
 while the within-region autocorrelation is symmetric and counts both.
 
-Accumulation is exact per grid node: every chord contributes piecewise
-linear functions of d, which are binned by their breakpoints and summed
-with prefix sums, so no per-node tolerance is introduced beyond the line
-discretization itself.
+The offset integral is exact.  At each orientation the vertex
+projections cut the offsets into slabs; inside a slab every chord end
+moves linearly with p, so each kernel breakpoint (a difference of two
+chord ends) does too, and the p-integral of every piecewise linear kernel
+term over the slab is a closed-form quadratic in d.  These are binned by
+breakpoint and summed exactly at every grid node.  The only
+discretization left is the orientation rule (composite Gauss-Legendre).
 """
 from __future__ import annotations
 
@@ -34,7 +37,6 @@ from .geom import (
     SimplePolygon,
     Triangle,
     TrianglePairSpec,
-    hull_diameter,
 )
 
 NORMALIZATION_TOL = 5e-3
@@ -49,11 +51,12 @@ class DiagnosticError(RuntimeError):
 class KMConfig:
     """Resolution settings for the line-measure sweep.
 
-    d_theta   orientation step (radians); the sweep uses round(pi/d_theta)
-              midpoints of [0, pi).
-    d_p       offset step as a fraction of the sweep frame's diameter;
-              within each orientation the step is shrunk to divide the
-              frame's support width evenly.
+    d_theta   orientation step (radians): n = round(pi/d_theta)
+              orientations, placed by a 4-point Gauss-Legendre rule on
+              ceil(n/4) equal cells of [0, pi).
+    d_p       unused: the sweep integrates offsets exactly.  Still
+              accepted and validated, because perfbench/ builds
+              KMConfig(d_p=...).
     grid_points  number N of grid cells; curves carry N+1 samples at
               d_k = k * d_max / N.
     """
@@ -193,6 +196,10 @@ def trapezoid_kernel(l1, l2, l3, d):
 # ---------------------------------------------------------------------------
 # Chord sources
 # ---------------------------------------------------------------------------
+#
+# The sweeps read a source's ``loops``: the even-odd interior of those
+# closed vertex loops is the region.  ``chords`` and ``support`` serve
+# checks that clip single lines.
 
 
 class ConvexSource:
@@ -200,7 +207,7 @@ class ConvexSource:
 
     def __init__(self, vertices):
         self._clipper = ConvexClipper(vertices)
-        self.vertices = self._clipper.vertices
+        self.loops = [self._clipper.vertices]
 
     def support(self, theta: float) -> tuple[float, float]:
         return self._clipper.support(theta)
@@ -210,50 +217,24 @@ class ConvexSource:
 
 
 class UnionSource:
-    """Chords of a union of interior-disjoint convex pieces (one per piece).
+    """A union of interior-disjoint convex pieces, one loop per piece.
 
-    Pieces touching along shared edges need no merging: the correlation
-    kernels are additive over a disjoint decomposition of the chord.
+    Pieces touching along shared edges need no merging: a shared edge
+    crosses a line twice at one position, and the correlation kernels are
+    additive over a disjoint decomposition of the chord.
     """
 
     def __init__(self, pieces: Sequence):
-        arrays = [p.vertices if isinstance(p, Triangle) else np.asarray(p) for p in pieces]
-        if not arrays:
+        self.loops = [_as_loop(p.vertices if isinstance(p, Triangle) else p) for p in pieces]
+        if not self.loops:
             raise ValueError("union source needs at least one piece")
-        self._clippers = [ConvexClipper(a) for a in arrays]
-        self.vertices = np.vstack(arrays)
-
-    def support(self, theta: float) -> tuple[float, float]:
-        bounds = [c.support(theta) for c in self._clippers]
-        return min(b[0] for b in bounds), max(b[1] for b in bounds)
-
-    def chords(self, theta: float, p: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [c.chord(theta, p) for c in self._clippers]
 
 
 class DifferenceSource:
-    """Chords of a convex region minus a strictly interior convex hole.
-
-    Each line yields at most two pieces: the chord parts before and after
-    the hole chord.
-    """
+    """A region minus a strictly interior hole: the outer and the hole loop."""
 
     def __init__(self, outer_vertices, hole_vertices):
-        self._outer = ConvexClipper(outer_vertices)
-        self._hole = ConvexClipper(hole_vertices)
-        self.vertices = np.asarray(self._outer.vertices)
-
-    def support(self, theta: float) -> tuple[float, float]:
-        return self._outer.support(theta)
-
-    def chords(self, theta: float, p: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        o0, o1 = self._outer.chord(theta, p)
-        h0, h1 = self._hole.chord(theta, p)
-        has_hole = (h1 - h0) > 0.0
-        first = (o0, np.where(has_hole, np.minimum(o1, h0), o1))
-        second = (np.where(has_hole, np.maximum(o0, h1), 0.0),
-                  np.where(has_hole, o1, 0.0))
-        return [first, second]
+        self.loops = [_as_loop(outer_vertices), _as_loop(hole_vertices)]
 
 
 class PolygonSource:
@@ -269,11 +250,10 @@ class PolygonSource:
     """
 
     def __init__(self, *loops):
-        arrays = [_as_loop(loop) for loop in loops]
-        if not arrays:
+        self.loops = [_as_loop(loop) for loop in loops]
+        if not self.loops:
             raise ValueError("polygon source needs at least one loop")
-        self.vertices = np.vstack(arrays)
-        self._ends = np.vstack([np.roll(a, -1, axis=0) for a in arrays])
+        self.vertices, self._ends = _edges(self)
 
     def support(self, theta: float) -> tuple[float, float]:
         nx, ny = -math.sin(theta), math.cos(theta)
@@ -310,20 +290,10 @@ def _as_loop(vertices) -> np.ndarray:
     return arr
 
 
-def _clean_pieces(pieces):
-    """Convert (t_lo, t_hi) bounds to (start, length) with empties at zero."""
-    cleaned = []
-    for t0, t1 in pieces:
-        length = np.maximum(0.0, t1 - t0)
-        start = np.where(length > 0.0, t0, 0.0)
-        cleaned.append((start, length))
-    return cleaned
-
-
-def _piece_gap(start_a, len_a, start_b, len_b):
-    return np.maximum(
-        0.0, np.maximum(start_a, start_b) - np.minimum(start_a + len_a, start_b + len_b)
-    )
+def _edges(source) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end points of every edge of a source's loops."""
+    return (np.vstack(source.loops),
+            np.vstack([np.roll(loop, -1, axis=0) for loop in source.loops]))
 
 
 # ---------------------------------------------------------------------------
@@ -331,144 +301,207 @@ def _piece_gap(start_a, len_a, start_b, len_b):
 # ---------------------------------------------------------------------------
 
 
-class _KernelBins:
-    """Accumulates piecewise linear kernel contributions exactly per node.
+class _SlabMoments:
+    """Exact per-node sums of ramps whose breakpoints move across slabs.
 
-    Ramp-down terms max(0, l - d) are stored as (l, w) points; trapezoid
-    terms are decomposed into four signed ramps max(0, d - a).  Prefix
-    sums over the breakpoint bins then give the exact weighted sums at
-    every grid node.
+    A term (x, q) stands for q times the mean, over one slab of offsets, of
+    the ramp-up (d - x)_+ or the ramp-down (x - d)_+, where the breakpoint
+    x moves linearly from x[0] to x[1] across the slab.  With lo, hi the
+    smaller and larger end, the mean ramp-up is
+
+        ((d - lo)_+^2 - (d - hi)_+^2) / (2 (hi - lo)),
+
+    zero below lo, quadratic on [lo, hi] and linear, d - (lo + hi)/2,
+    above; the mean ramp-down mirrors it.  Each quadratic piece is binned by
+    its breakpoint as its three coefficients in d, and prefix sums
+    (ramp-ups) or suffix sums (ramp-downs, which vanish towards d_max)
+    evaluate every term at every node.  When hi - lo < dx at most one node
+    lies on the quadratic part: the term is binned as its linear limit and
+    that node receives its exact value directly, which keeps the
+    coefficients bounded by q / dx.
     """
 
     def __init__(self, n: int, d_max: float):
         self.n = n
         self.dx = d_max / n
-        self._up_w = np.zeros(n + 2)
-        self._up_wa = np.zeros(n + 2)
-        self._dn_w = np.zeros(n + 2)
-        self._dn_wl = np.zeros(n + 2)
-        self._dn_w_tot = 0.0
-        self._dn_wl_tot = 0.0
+        # rows: coefficients of d^2, d and 1.  Ramp-up bin k holds terms
+        # active from node k on; ramp-down bin k + 1 those active up to node k.
+        self._up = np.zeros((3, n + 2))
+        self._down = np.zeros((3, n + 2))
+        self._direct = np.zeros(n + 1)
 
-    def _bins(self, a: np.ndarray) -> np.ndarray:
-        k = np.ceil(a / self.dx)
-        return np.clip(k, 0.0, self.n + 1).astype(np.int64)
+    def add_up(self, x: np.ndarray, q: np.ndarray):
+        lo, hi = np.minimum(x[0], x[1]), np.maximum(x[0], x[1])
+        k_lo, k_hi = (np.clip(np.ceil(v / self.dx), 0, self.n + 1).astype(np.intp)
+                      for v in (lo, hi))
+        self._add(self._up, q, lo, hi, k_lo, k_hi, 1.0, k_lo)
 
-    def add_ramp_down(self, lengths: np.ndarray, w: float):
-        k = self._bins(lengths)
-        self._dn_w += w * np.bincount(k, minlength=self.n + 2)
-        self._dn_wl += w * np.bincount(k, weights=lengths, minlength=self.n + 2)
-        self._dn_w_tot += w * len(lengths)
-        self._dn_wl_tot += w * float(lengths.sum())
+    def add_down(self, x: np.ndarray, q: np.ndarray):
+        lo, hi = np.minimum(x[0], x[1]), np.maximum(x[0], x[1])
+        k_lo, k_hi = (np.clip(np.floor(v / self.dx), -1, self.n).astype(np.intp) + 1
+                      for v in (lo, hi))
+        self._add(self._down, q, hi, lo, k_hi, k_lo, -1.0, k_hi - 1)
 
-    def add_trapezoids(self, l1: np.ndarray, gap: np.ndarray, l3: np.ndarray, w: float):
-        lo = np.minimum(l1, l3)
-        hi = np.maximum(l1, l3)
-        a = np.concatenate([gap, gap + lo, gap + hi, gap + lo + hi])
-        m = len(gap)
-        sign = np.concatenate([np.ones(m), -np.ones(m), -np.ones(m), np.ones(m)])
-        k = self._bins(a)
-        self._up_w += w * np.bincount(k, weights=sign, minlength=self.n + 2)
-        self._up_wa += w * np.bincount(k, weights=sign * a, minlength=self.n + 2)
+    def _add(self, table, q, near, far, k_near, k_far, sign, node):
+        """Bin q * (c (d - near)^2 from k_near, -c (d - far)^2 from k_far)
+        with c = 1 / (2 |far - near|), or for a narrow term its linear limit
+        sign * (d - mean) from k_far plus the exact value at ``node``."""
+        width = np.abs(far - near)
+        wide = width >= self.dx
+        c = np.where(wide, q, 0.0) / (2.0 * np.where(wide, width, 1.0))
+        lin = np.where(wide, 0.0, sign * q)
+        mean = 0.5 * (near + far)
+        rows = (np.concatenate([c, -c]),
+                np.concatenate([-2.0 * c * near, 2.0 * c * far + lin]),
+                np.concatenate([c * near * near, -c * far * far - lin * mean]))
+        idx = np.concatenate([k_near, k_far])
+        for row, coef in zip(table, rows):
+            row += np.bincount(idx, weights=coef, minlength=self.n + 2)
+        hit = ~wide & (k_near != k_far)
+        gap = near[hit] - node[hit] * self.dx
+        self._direct += np.bincount(node[hit], weights=q[hit] * gap * gap / (2.0 * width[hit]),
+                                    minlength=self.n + 1)
 
     def node_sums(self) -> np.ndarray:
         """Weighted kernel sum at each node d_k (before any d prefactor)."""
         d = np.arange(self.n + 1) * self.dx
-        cum_up_w = np.cumsum(self._up_w)[: self.n + 1]
-        cum_up_wa = np.cumsum(self._up_wa)[: self.n + 1]
-        up = d * cum_up_w - cum_up_wa
-        cum_dn_w = np.cumsum(self._dn_w)[: self.n + 1]
-        cum_dn_wl = np.cumsum(self._dn_wl)[: self.n + 1]
-        down = (self._dn_wl_tot - cum_dn_wl) - d * (self._dn_w_tot - cum_dn_w)
-        return up + down
+        up = np.cumsum(self._up, axis=1)[:, : self.n + 1]
+        down = np.cumsum(self._down[:, ::-1], axis=1)[:, -2::-1]
+        coef = up + down
+        return d * d * coef[0] + d * coef[1] + coef[2] + self._direct
 
 
 # ---------------------------------------------------------------------------
 # Sweeps
 # ---------------------------------------------------------------------------
 
+# Orientations: composite 4-point Gauss-Legendre rule, nodes and weights on
+# [-1, 1] (hardcoded: importing numpy.polynomial costs more than the rule).
+_GAUSS_NODES = np.array([-0.8611363115940526, -0.3399810435848563,
+                         0.3399810435848563, 0.8611363115940526])
+_GAUSS_WEIGHTS = np.array([0.3478548451374538, 0.6521451548625461,
+                           0.6521451548625461, 0.3478548451374538])
+# A block of orientations keeps its (slab x edge) crossing table near this
+# many cells.  A block's kernel terms grow with it, so this bounds a sweep's
+# memory; larger blocks gained no measurable time on triangles or pairs.
+_BLOCK_CELLS = 1 << 13
 
-def _theta_steps(cfg: KMConfig) -> tuple[int, float]:
-    k = max(1, int(round(math.pi / cfg.d_theta)))
-    return k, math.pi / k
+
+def _orientations(cfg: KMConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the orientation rule: ceil(n/4) equal cells of
+    [0, pi), four Gauss-Legendre nodes each, n = round(pi / d_theta)."""
+    n_theta = max(1, int(round(math.pi / cfg.d_theta)))
+    cells = -(-n_theta // 4)
+    width = math.pi / cells
+    theta = ((np.arange(cells)[:, None] + 0.5 * (1.0 + _GAUSS_NODES)) * width).ravel()
+    return theta, np.tile(0.5 * width * _GAUSS_WEIGHTS, cells)
 
 
-def _lattice(frame, frame_diameter: float, sources, cfg: KMConfig):
-    """The lines one sweep visits, as (theta, offsets, measure weight).
+def _blocks(n_points: int, cfg: KMConfig):
+    """(cos, sin, weight) of the orientations, in bounded blocks."""
+    theta, weight = _orientations(cfg)
+    size = max(1, _BLOCK_CELLS // (n_points * n_points))
+    for lo in range(0, len(theta), size):
+        block = theta[lo: lo + size]
+        yield np.cos(block), np.sin(block), weight[lo: lo + size]
 
-    At each orientation the lattice lines are the midpoints of
-    ceil(width / (d_p * frame_diameter)) equal cells spanning the frame's
-    support; the sweep keeps those that fall inside every source's support.
-    Sweeps sharing one frame therefore see the same lines, so their
-    discretization errors match where their curves are combined.
+
+def _slabs(points, cos, sin):
+    """Slabs of positive width between consecutive vertex projections:
+    (orientation within the block, lower offset, upper offset)."""
+    s = np.sort(np.outer(-sin, points[:, 0]) + np.outer(cos, points[:, 1]), axis=1)
+    j, k = np.nonzero(s[:, 1:] > s[:, :-1])
+    return j, s[j, k], s[j, k + 1]
+
+
+def _pieces(edges, cos, sin, orient, p0, p1):
+    """Even-odd chord pieces of every slab, as (slab, start, end).
+
+    No vertex projects inside a slab, so the edges crossing its middle line
+    cross all of its lines in the same order, each at a position affine in
+    the offset.  ``start`` and ``end`` hold the piece ends at the slab's
+    lower (row 0) and upper (row 1) offset; pieces come sorted by slab and
+    along the line.
     """
-    n_theta, d_theta = _theta_steps(cfg)
-    dp_nom = cfg.d_p * frame_diameter
-    for j in range(n_theta):
-        theta = (j + 0.5) * d_theta
-        f_lo, f_hi = frame.support(theta)
-        lo, hi = f_lo, f_hi
-        for src in sources:
-            if src is not frame:
-                s_lo, s_hi = src.support(theta)
-                lo, hi = max(lo, s_lo), min(hi, s_hi)
-        width = f_hi - f_lo
-        if width <= 0.0 or hi <= lo:
-            continue
-        m = max(1, math.ceil(width / dp_nom))
-        dp = width / m
-        first = max(0, math.ceil((lo - f_lo) / dp - 0.5))
-        stop = min(m, math.ceil((hi - f_lo) / dp - 0.5))
-        if stop > first:
-            yield theta, f_lo + (np.arange(first, stop) + 0.5) * dp, dp * d_theta
+    a, b = edges
+    s_a = np.outer(-sin, a[:, 0]) + np.outer(cos, a[:, 1])
+    s_b = np.outer(-sin, b[:, 0]) + np.outer(cos, b[:, 1])
+    mid = (0.5 * (p0 + p1))[:, None]
+    slab, e = np.nonzero((s_a[orient] > mid) != (s_b[orient] > mid))
+    j = orient[slab]
+    t_a = cos[j] * a[e, 0] + sin[j] * a[e, 1]
+    t_b = cos[j] * b[e, 0] + sin[j] * b[e, 1]
+    slope = (t_b - t_a) / (s_b[j, e] - s_a[j, e])
+    t = t_a + slope * (np.stack([p0[slab], p1[slab]]) - s_a[j, e])
+    order = np.lexsort((t[0] + t[1], slab))
+    t, slab = t[:, order], slab[order]
+    # every slab holds an even number of crossings, so pairs never straddle slabs
+    return slab[0::2], t[:, 0::2], t[:, 1::2]
+
+
+def _pairs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All index pairs (i, k) with lo[i] <= k < hi[i]."""
+    count = hi - lo
+    i = np.repeat(np.arange(len(lo)), count)
+    k = np.arange(len(i)) + np.repeat(lo - (np.cumsum(count) - count), count)
+    return i, k
+
+
+def _add_trapezoids(moments, start_1, end_1, start_2, end_2, q):
+    """Trapezoid kernels of piece pairs, piece 1 before piece 2 on the line:
+    ramp-ups at the gap, gap + l1, gap + l2 and the span, signs + - - +."""
+    x = np.concatenate([start_2 - end_1, start_2 - start_1,
+                        end_2 - end_1, end_2 - start_1], axis=1)
+    moments.add_up(x, np.concatenate([q, -q, -q, q]))
 
 
 def sweep_within(source, area: float, d_max: float, cfg: KMConfig,
-                 frame=None, meta: dict | None = None) -> DensityCurve:
+                 meta: dict | None = None) -> DensityCurve:
     """Distance density of two uniform points in one region.
 
-    ``source`` provides the region's chords; ``area`` its area; ``d_max``
-    its diameter.  The lines come from the lattice of ``frame`` (see
-    ``_lattice``), by default the source itself with diameter d_max.
+    ``source`` provides the region's loops; ``area`` its area; ``d_max``
+    its diameter.  Every slab adds each piece's ramp-down and the
+    trapezoid of each pair of its pieces, integrated exactly over offsets.
     """
-    if frame is None:
-        frame, frame_diameter = source, d_max
-    else:
-        frame_diameter = hull_diameter(frame.vertices)
-    bins = _KernelBins(cfg.grid_points, d_max)
-    for theta, p, w in _lattice(frame, frame_diameter, [source], cfg):
-        pieces = _clean_pieces(source.chords(theta, p))
-        for start, length in pieces:
-            bins.add_ramp_down(length, w)
-        for i in range(len(pieces)):
-            for k in range(i + 1, len(pieces)):
-                si, li = pieces[i]
-                sk, lk = pieces[k]
-                bins.add_trapezoids(li, _piece_gap(si, li, sk, lk), lk, w)
+    edges = _edges(source)
+    moments = _SlabMoments(cfg.grid_points, d_max)
+    for cos, sin, weight in _blocks(len(edges[0]), cfg):
+        orient, p0, p1 = _slabs(edges[0], cos, sin)
+        slab, start, end = _pieces(edges, cos, sin, orient, p0, p1)
+        q = (weight[orient] * (p1 - p0))[slab]
+        moments.add_down(end - start, q)
+        i, k = _pairs(np.arange(1, len(slab) + 1), np.searchsorted(slab, slab, side="right"))
+        _add_trapezoids(moments, start[:, i], end[:, i], start[:, k], end[:, k], q[i])
     grid = _grid(d_max, cfg.grid_points)
-    values = (2.0 * grid / (area * area)) * bins.node_sums()
+    values = (2.0 * grid / (area * area)) * moments.node_sums()
     return DensityCurve(d_max, values, meta or {})
 
 
 def sweep_between(source_a, area_a: float, source_b, area_b: float,
-                  d_max: float, cfg: KMConfig, frame,
-                  meta: dict | None = None) -> DensityCurve:
+                  d_max: float, cfg: KMConfig, meta: dict | None = None) -> DensityCurve:
     """Distance density between points of two interior-disjoint regions.
 
-    Only lattice lines of ``frame`` meeting both supports contribute; each
-    pair of chord pieces adds its trapezoid cross-correlation.
+    Slabs run between the vertex projections of both regions; each pair of
+    an A-piece and a B-piece in one slab adds its trapezoid.
     """
-    bins = _KernelBins(cfg.grid_points, d_max)
-    lines = _lattice(frame, hull_diameter(frame.vertices), [source_a, source_b], cfg)
-    for theta, p, w in lines:
-        pieces_a = _clean_pieces(source_a.chords(theta, p))
-        pieces_b = _clean_pieces(source_b.chords(theta, p))
-        for sa, la in pieces_a:
-            for sb, lb in pieces_b:
-                bins.add_trapezoids(la, _piece_gap(sa, la, sb, lb), lb, w)
+    edges_a, edges_b = _edges(source_a), _edges(source_b)
+    points = np.vstack([edges_a[0], edges_b[0]])
+    moments = _SlabMoments(cfg.grid_points, d_max)
+    for cos, sin, weight in _blocks(len(points), cfg):
+        orient, p0, p1 = _slabs(points, cos, sin)
+        slab_a, start_a, end_a = _pieces(edges_a, cos, sin, orient, p0, p1)
+        slab_b, start_b, end_b = _pieces(edges_b, cos, sin, orient, p0, p1)
+        i, k = _pairs(np.searchsorted(slab_b, slab_a, side="left"),
+                      np.searchsorted(slab_b, slab_a, side="right"))
+        sa, ea, sb, eb = start_a[:, i], end_a[:, i], start_b[:, k], end_b[:, k]
+        # disjoint pieces keep their order across a slab: compare midpoints
+        a_first = sa[0] + sa[1] + ea[0] + ea[1] < sb[0] + sb[1] + eb[0] + eb[1]
+        q = (weight[orient] * (p1 - p0))[slab_a[i]]
+        _add_trapezoids(moments, np.where(a_first, sa, sb), np.where(a_first, ea, eb),
+                        np.where(a_first, sb, sa), np.where(a_first, eb, ea), q)
     grid = _grid(d_max, cfg.grid_points)
     # one direction of shift only, hence d and not 2d (see module docstring)
-    values = (grid / (area_a * area_b)) * bins.node_sums()
+    values = (grid / (area_a * area_b)) * moments.node_sums()
     return DensityCurve(d_max, values, meta or {})
 
 
@@ -528,6 +561,5 @@ def cross_pair_pdf(pair: TrianglePairSpec, cfg: KMConfig | None = None) -> Densi
         pair.areas[1],
         pair.max_distance,
         cfg,
-        frame=PolygonSource(pair.tri_a.vertices, pair.tri_b.vertices),
         meta=meta,
     )

@@ -9,6 +9,7 @@ batches are scheduled.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -112,41 +113,48 @@ def sample_uniform_triangle(tri: Triangle, rng: np.random.Generator,
     return pts[0] if size is None else pts
 
 
-def _triangle_fan(poly: SimplePolygon):
+def _fan_sampler(poly):
+    """Sampler of uniform points in a simple polygon via area-weighted
+    triangles; the polygon is triangulated once, here."""
     tris = triangulate(poly)
     areas = np.array([t.area for t in tris])
-    v0 = np.stack([t.vertices[0] for t in tris])
-    v1 = np.stack([t.vertices[1] for t in tris])
-    v2 = np.stack([t.vertices[2] for t in tris])
-    return areas / areas.sum(), v0, v1, v2
+    weights = areas / areas.sum()
+    v0, v1, v2 = (np.stack([t.vertices[k] for t in tris]) for k in range(3))
+
+    def sample(rng: np.random.Generator, size: int) -> np.ndarray:
+        idx = rng.choice(len(weights), size=size, p=weights)
+        uv = rng.random((size, 2))
+        over = uv.sum(axis=1) > 1.0
+        uv[over] = 1.0 - uv[over]
+        return v0[idx] + uv[:, :1] * (v1[idx] - v0[idx]) + uv[:, 1:] * (v2[idx] - v0[idx])
+
+    return sample
 
 
 def sample_uniform_polygon(poly: SimplePolygon, rng: np.random.Generator,
                            size: int | None = None) -> np.ndarray:
     """Uniform points in a simple polygon via area-weighted triangles."""
-    m = 1 if size is None else size
-    weights, v0, v1, v2 = _triangle_fan(poly)
-    idx = rng.choice(len(weights), size=m, p=weights)
-    uv = rng.random((m, 2))
-    over = uv.sum(axis=1) > 1.0
-    uv[over] = 1.0 - uv[over]
-    pts = v0[idx] + uv[:, :1] * (v1[idx] - v0[idx]) + uv[:, 1:] * (v2[idx] - v0[idx])
+    pts = _fan_sampler(poly)(rng, 1 if size is None else size)
     return pts[0] if size is None else pts
 
 
-def _sample_region(region, rng: np.random.Generator, size: int) -> np.ndarray:
+def _sampler(region):
+    """A function (rng, size) -> uniform points of the region."""
     if isinstance(region, Triangle):
-        return sample_uniform_triangle(region, rng, size)
+        return functools.partial(sample_uniform_triangle, region)
     if isinstance(region, SimplePolygon):
-        return sample_uniform_polygon(region, rng, size)
+        return _fan_sampler(region)
     if isinstance(region, HollowRegion):
-        hole = region.hole
-        test = hole.contains
-        out = np.empty((0, 2))
-        while len(out) < size:
-            cand = sample_uniform_polygon(region.outer, rng, size)
-            out = np.vstack([out, cand[~test(cand)]])
-        return out[:size]
+        outer, in_hole = _fan_sampler(region.outer), region.hole.contains
+
+        def sample(rng: np.random.Generator, size: int) -> np.ndarray:
+            out = np.empty((0, 2))
+            while len(out) < size:
+                cand = outer(rng, size)
+                out = np.vstack([out, cand[~in_hole(cand)]])
+            return out[:size]
+
+        return sample
     raise TypeError(f"cannot sample region of type {type(region).__name__}")
 
 
@@ -154,17 +162,20 @@ def pdd_mc(region_a, region_b, cfg: SampleConfig | None = None) -> EmpiricalCdf:
     """Empirical CDF of the distance between one point in each region.
 
     ``region_a`` and ``region_b`` may be the same object: the two points
-    of a pair are always drawn independently.
+    of a pair are always drawn independently.  Each region is prepared
+    (triangulated) once per call, not once per batch.
     """
     cfg = cfg or SampleConfig()
+    sample_a = _sampler(region_a)
+    sample_b = sample_a if region_b is region_a else _sampler(region_b)
     chunks = []
     remaining = cfg.n_pairs
     index = 0
     while remaining > 0:
         m = min(cfg.batch, remaining)
         rng = _stream(cfg.seed, index)
-        a = _sample_region(region_a, rng, m)
-        b = _sample_region(region_b, rng, m)
+        a = sample_a(rng, m)
+        b = sample_b(rng, m)
         chunks.append(np.linalg.norm(a - b, axis=1))
         remaining -= m
         index += 1

@@ -17,7 +17,7 @@ from polydist.km_engine import DiagnosticError
 from shapes import regular_polygon, square
 
 # coarse but valid numeric flags so every invocation stays quick
-FAST_FLAGS = ["--dtheta", "1.0", "--dp", "0.004", "--grid", "100"]
+FAST_FLAGS = ["--dtheta", "1.0", "--grid", "100"]
 
 
 def write_geometry(path, data):

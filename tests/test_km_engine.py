@@ -7,6 +7,10 @@ import pytest
 
 from polydist import (
     CdfCurve,
+    SimplePolygon,
+    TriangleParams,
+    closed_form_curve,
+    scale_curve,
     DensityCurve,
     DiagnosticError,
     KMConfig,
@@ -408,3 +412,45 @@ def test_resolution_refinement_is_stable():
     coarse = within_triangle_pdf(tri, KMConfig(math.pi / 180, 1.0 / 250, 200))
     fine = within_triangle_pdf(tri, KMConfig(math.pi / 360, 1.0 / 500, 200))
     assert np.max(np.abs(coarse.values - fine.values)) < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# Exact offset integration
+# ---------------------------------------------------------------------------
+
+
+def closed_cdf(tri, n):
+    params = TriangleParams.from_triangle(tri)
+    return pdf_to_cdf(scale_curve(closed_form_curve(params, n=n), tri.diameter))
+
+
+def test_sliver_triangle_passes_at_default_config():
+    # offsets are integrated exactly, so a sliver needs no fine offset step
+    tri = canonicalize_triangle(angles=np.radians([178.0, 1.0, 1.0]))
+    cdf = pdf_to_cdf(within_triangle_pdf(tri))
+    assert np.max(np.abs(cdf.values - closed_cdf(tri, 500).values)) < 1e-3
+
+
+def test_offset_step_does_not_change_the_curve():
+    tri = canonicalize_triangle(angles=np.radians([80.0, 70.0, 30.0]))
+    coarse = within_triangle_pdf(tri, KMConfig(d_p=1.0 / 200))
+    fine = within_triangle_pdf(tri, KMConfig(d_p=1.0 / 2000))
+    np.testing.assert_array_equal(coarse.values, fine.values)
+
+
+@pytest.mark.parametrize("degs", [(60, 60, 60), (80, 70, 30), (130, 30, 20)])
+def test_triangle_cdf_matches_closed_form_at_default_config(degs):
+    tri = canonicalize_triangle(angles=np.radians(degs))
+    cdf = pdf_to_cdf(within_triangle_pdf(tri))
+    assert np.max(np.abs(cdf.values - closed_cdf(tri, 500).values)) < 1e-6
+
+
+def test_many_vertex_star_vs_mc():
+    rng = np.random.default_rng(100)
+    n = 100
+    radii = np.where(np.arange(n) % 2 == 0, rng.uniform(0.9, 1.0, n), rng.uniform(0.45, 0.6, n))
+    ang = 2.0 * math.pi * (np.arange(n) + rng.uniform(-0.15, 0.15, n)) / n
+    star = SimplePolygon(np.stack([radii * np.cos(ang), radii * np.sin(ang)], axis=1))
+    curve = sweep_within(PolygonSource(star.vertices), star.area, star.diameter, FAST)
+    ecdf = pdd_mc(star, star, SampleConfig(n_pairs=50_000, seed=1001))
+    assert ks_distance(pdf_to_cdf(curve), ecdf) < 0.01

@@ -231,9 +231,9 @@ def test_hollow_region_polygon_hole():
     np.testing.assert_array_equal(ecdf.samples, again.samples)
 
     rng = np.random.default_rng(0)
-    from polydist.mc_oracle import _sample_region
+    from polydist.mc_oracle import _sampler
 
-    pts = _sample_region(region, rng, 50_000)
+    pts = _sampler(region)(rng, 50_000)
     assert np.abs(pts).max() <= 0.5 + 1e-12
     inside_hole = (np.abs(pts[:, 0]) < 0.3) & (np.abs(pts[:, 1]) < 0.3)
     assert not inside_hole.any()
@@ -242,16 +242,38 @@ def test_hollow_region_polygon_hole():
 def test_hollow_region_disk_hole():
     outer = regular_polygon(6, side=1.0)
     region = HollowRegion(outer, Disk((0.0, 0.0), 0.7))
-    from polydist.mc_oracle import _sample_region
+    from polydist.mc_oracle import _sampler
 
-    pts = _sample_region(region, np.random.default_rng(3), 50_000)
+    pts = _sampler(region)(np.random.default_rng(3), 50_000)
     r = np.hypot(pts[:, 0], pts[:, 1])
     assert r.min() >= 0.7
     assert outer.contains(pts).all()
 
 
 def test_sample_region_rejects_unknown():
-    from polydist.mc_oracle import _sample_region
+    from polydist.mc_oracle import _sampler
 
     with pytest.raises(TypeError):
-        _sample_region("not a region", np.random.default_rng(0), 10)
+        _sampler("not a region")
+
+
+def test_pdd_mc_triangulates_each_region_once(monkeypatch):
+    from polydist import mc_oracle
+
+    calls = []
+
+    def counting(poly):
+        calls.append(poly)
+        return triangulate(poly)
+
+    monkeypatch.setattr(mc_oracle, "triangulate", counting)
+    hexagon = regular_polygon(6, side=1.0)
+    hollow = HollowRegion(square(0.5), square(0.3))
+    # two batches, and rejection retries inside each for the hollow region
+    pdd_mc(hexagon, hollow, SampleConfig(n_pairs=4000, seed=3, batch=2000))
+    assert sum(c is hexagon for c in calls) == 1
+    assert sum(c is hollow.outer for c in calls) == 1
+
+    calls.clear()
+    pdd_mc(hexagon, hexagon, SampleConfig(n_pairs=4000, seed=3))
+    assert len(calls) == 1
