@@ -1,6 +1,6 @@
 """Analytic distance density inside an arbitrary triangle.
 
-Independent of the sweep engine in :mod:`polydist.km`: the density is
+Independent of the sweep engine in :mod:`polydist.km_engine`: the density is
 assembled from explicit antiderivatives, evaluated per orientation band.
 
 Geometry convention: the triangle is normalized so its longest side has

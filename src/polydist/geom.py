@@ -210,13 +210,39 @@ def canonicalize_triangle(
 # ---------------------------------------------------------------------------
 
 
-def _proper_crossing(a, b, c, d, eps2: float) -> bool:
-    """True when open segments ab and cd cross at a single interior point."""
-    o1 = float(_cross2(b - a, c - a))
-    o2 = float(_cross2(b - a, d - a))
-    o3 = float(_cross2(d - c, a - c))
-    o4 = float(_cross2(d - c, b - c))
-    return (o1 * o2 < -eps2 * eps2) and (o3 * o4 < -eps2 * eps2)
+# Edge pairs per block of a crossing test: bounds its temporaries at a few
+# MB for any vertex count.
+_BLOCK_PAIRS = 1 << 16
+
+
+def _proper_crossing(a, b, c, d, eps2: float) -> np.ndarray:
+    """True where open segments ab and cd cross at a single interior point
+    (vectorized over broadcast point arrays)."""
+    o1 = _cross2(b - a, c - a)
+    o2 = _cross2(b - a, d - a)
+    o3 = _cross2(d - c, a - c)
+    o4 = _cross2(d - c, b - c)
+    return (o1 * o2 < -eps2 * eps2) & (o3 * o4 < -eps2 * eps2)
+
+
+def _first_crossing(p: np.ndarray, q: np.ndarray, eps: float) -> tuple[int, int] | None:
+    """First (i, j) in row-major order where edge i of loop ``p`` (p[i] to
+    p[i+1]) properly crosses edge j of loop ``q``, or None.
+
+    Edges that share an endpoint never cross: the shared point makes a
+    cross product exactly 0.
+    """
+    c = q[None]
+    d = np.roll(q, -1, axis=0)[None]
+    p_next = np.roll(p, -1, axis=0)
+    rows = max(1, _BLOCK_PAIRS // len(q))
+    for start in range(0, len(p), rows):
+        a = p[start:start + rows, None]
+        b = p_next[start:start + rows, None]
+        hits = np.argwhere(_proper_crossing(a, b, c, d, eps))
+        if len(hits):
+            return start + int(hits[0, 0]), int(hits[0, 1])
+    return None
 
 
 @dataclass(frozen=True)
@@ -239,17 +265,12 @@ class SimplePolygon:
             arr = arr[::-1].copy()
         if abs(_signed_area(arr)) <= EPS_CROSS * scale * scale:
             raise GeometryError("polygon area is zero")
-        eps = EPS_CROSS * scale
-        for i in range(n):
-            a, b = arr[i], arr[(i + 1) % n]
-            for j in range(i + 1, n):
-                if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                    continue  # adjacent edges share a vertex by construction
-                c, d = arr[j], arr[(j + 1) % n]
-                if _proper_crossing(a, b, c, d, eps):
-                    raise GeometryError(
-                        f"polygon boundary self-intersects (edges {i} and {j})"
-                    )
+        # the relation is symmetric, so the first crossing has i < j
+        crossing = _first_crossing(arr, arr, EPS_CROSS * scale)
+        if crossing is not None:
+            raise GeometryError(
+                "polygon boundary self-intersects (edges %d and %d)" % crossing
+            )
         arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "vertices", arr)
@@ -308,36 +329,6 @@ def hull_diameter(points) -> float:
     """Diameter of the convex hull of a point set (max pairwise distance)."""
     arr = _as_points(points)
     return _max_pair_distance(arr, arr)
-
-
-def _point_segment_distance(p, a, b) -> float:
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return float(np.linalg.norm(p - a))
-    t = max(0.0, min(1.0, float((p - a) @ ab) / denom))
-    return float(np.linalg.norm(p - (a + t * ab)))
-
-def _segment_distance(a, b, c, d) -> float:
-    if _proper_crossing(a, b, c, d, 0.0):
-        return 0.0
-    return min(
-        _point_segment_distance(a, c, d),
-        _point_segment_distance(b, c, d),
-        _point_segment_distance(c, a, b),
-        _point_segment_distance(d, a, b),
-    )
-
-
-def _min_boundary_distance(pa: np.ndarray, pb: np.ndarray) -> float:
-    best = math.inf
-    na, nb = len(pa), len(pb)
-    for i in range(na):
-        a, b = pa[i], pa[(i + 1) % na]
-        for j in range(nb):
-            c, d = pb[j], pb[(j + 1) % nb]
-            best = min(best, _segment_distance(a, b, c, d))
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -403,28 +394,18 @@ class ConvexClipper:
 
 @dataclass(frozen=True)
 class TrianglePairSpec:
-    """Two interior-disjoint triangles plus derived adjacency data.
+    """Two interior-disjoint triangles, classified.
 
     ``kind`` is one of 'shared_side_convex', 'shared_side_concave',
-    'shared_vertex', 'disjoint'.  For shared-side pairs the shared edge
-    endpoints are ordered lexicographically as (P, Q) and:
-
-    * ``diagonal`` is |PQ| (the shared edge, a diagonal of the union),
-    * ``cross_diagonal`` is the distance between the two apexes,
-    * ``corner_angles`` = (angle of tri_b at P, angle of tri_a at P,
-      angle of tri_b at Q, angle of tri_a at Q).
+    'shared_vertex', 'disjoint'; ``areas`` are the two triangle areas and
+    ``max_distance`` is the largest distance between a point of each.
     """
 
     tri_a: Triangle
     tri_b: Triangle
     kind: str
     areas: tuple[float, float]
-    shared_vertices: tuple[Point2, ...] = ()
-    diagonal: float | None = None
-    cross_diagonal: float | None = None
-    corner_angles: tuple[float, float, float, float] | None = None
-    min_distance: float = 0.0
-    max_distance: float = 0.0
+    max_distance: float
 
 
 def _convex_clip_polygon(subject: np.ndarray, clipper: np.ndarray) -> np.ndarray:
@@ -460,13 +441,6 @@ def _overlap_area(tri_a: Triangle, tri_b: Triangle) -> float:
     if len(poly) < 3:
         return 0.0
     return abs(_signed_area(poly))
-
-
-def _interior_angle(at, toward1, toward2) -> float:
-    u1 = toward1 - at
-    u2 = toward2 - at
-    cosang = float(u1 @ u2) / (np.linalg.norm(u1) * np.linalg.norm(u2))
-    return math.acos(max(-1.0, min(1.0, cosang)))
 
 
 def classify_pair(tri_a: Triangle, tri_b: Triangle) -> TrianglePairSpec:
@@ -508,12 +482,6 @@ def classify_pair(tri_a: Triangle, tri_b: Triangle) -> TrianglePairSpec:
         apex_a = next(va[i] for i in range(3) if i not in shared_idx_a)
         shared_idx_b = [j for _, j in matches]
         apex_b = next(tri_b.vertices[j] for j in range(3) if j not in shared_idx_b)
-        corner_angles = (
-            _interior_angle(p_pt, apex_b, q_pt),
-            _interior_angle(p_pt, apex_a, q_pt),
-            _interior_angle(q_pt, apex_b, p_pt),
-            _interior_angle(q_pt, apex_a, p_pt),
-        )
         quad = np.array([apex_a, p_pt, apex_b, q_pt])
         if _signed_area(quad) < 0.0:
             quad = quad[::-1]
@@ -521,54 +489,16 @@ def classify_pair(tri_a: Triangle, tri_b: Triangle) -> TrianglePairSpec:
         turns = _cross2(edges, np.roll(edges, -1, axis=0))
         convex = bool((turns >= -EPS_CROSS * scale * scale).all())
         kind = "shared_side_convex" if convex else "shared_side_concave"
-        return TrianglePairSpec(
-            tri_a,
-            tri_b,
-            kind,
-            areas,
-            shared_vertices=(tuple(p_pt), tuple(q_pt)),
-            diagonal=float(np.linalg.norm(q_pt - p_pt)),
-            cross_diagonal=float(np.linalg.norm(np.asarray(apex_b) - np.asarray(apex_a))),
-            corner_angles=corner_angles,
-            min_distance=0.0,
-            max_distance=max_d,
-        )
-
-    if len(matches) == 1:
-        i, j = matches[0]
-        return TrianglePairSpec(
-            tri_a,
-            tri_b,
-            "shared_vertex",
-            areas,
-            shared_vertices=(tuple(va[i]),),
-            min_distance=0.0,
-            max_distance=max_d,
-        )
-
-    min_d = _min_boundary_distance(tri_a.vertices, tri_b.vertices)
-    if min_d <= snap:
-        min_d = 0.0
-    return TrianglePairSpec(
-        tri_a,
-        tri_b,
-        "disjoint",
-        areas,
-        min_distance=min_d,
-        max_distance=max_d,
-    )
+    elif len(matches) == 1:
+        kind = "shared_vertex"
+    else:
+        kind = "disjoint"
+    return TrianglePairSpec(tri_a, tri_b, kind, areas, max_d)
 
 
 # ---------------------------------------------------------------------------
 # Triangulation
 # ---------------------------------------------------------------------------
-
-
-def _point_in_closed_triangle(pt, a, b, c, eps: float) -> bool:
-    d1 = float(_cross2(b - a, pt - a))
-    d2 = float(_cross2(c - b, pt - b))
-    d3 = float(_cross2(a - c, pt - c))
-    return d1 >= -eps and d2 >= -eps and d3 >= -eps
 
 
 def _ear_clip(vertices: np.ndarray) -> list[np.ndarray]:
@@ -583,56 +513,42 @@ def _ear_clip(vertices: np.ndarray) -> list[np.ndarray]:
     idx = list(range(len(vertices)))
     triangles: list[np.ndarray] = []
 
-    def is_ear(k: int, strict_block: bool) -> bool:
-        i_prev = idx[k - 1]
-        i_cur = idx[k]
-        i_next = idx[(k + 1) % len(idx)]
-        a, b, c = vertices[i_prev], vertices[i_cur], vertices[i_next]
-        if float(_cross2(b - a, c - b)) <= eps_area:
-            return False
+    def is_ear(w: np.ndarray, k: int, strict_block: bool) -> bool:
+        """Whether no remaining vertex blocks the convex corner k of loop w."""
+        a, b, c = w[k - 1], w[k], w[(k + 1) % len(w)]
         # conservative pass: boundary contact blocks; strict pass: only
         # strictly interior points block (needed next to zero-width bridges)
         block_eps = -EPS_SNAP * scale * scale if strict_block else EPS_SNAP * scale * scale
-        for m in idx:
-            if m in (i_prev, i_cur, i_next):
-                continue
-            w = vertices[m]
-            if ((w - a) ** 2).sum() <= snap2 or ((w - b) ** 2).sum() <= snap2 or (
-                (w - c) ** 2
-            ).sum() <= snap2:
-                continue
-            if _point_in_closed_triangle(w, a, b, c, block_eps):
-                return False
-        return True
+        # the ear's own corners are at distance 0, so they never block
+        free = (
+            (((w - a) ** 2).sum(axis=1) > snap2)
+            & (((w - b) ** 2).sum(axis=1) > snap2)
+            & (((w - c) ** 2).sum(axis=1) > snap2)
+        )
+        inside = (
+            (_cross2(b - a, w - a) >= -block_eps)
+            & (_cross2(c - b, w - b) >= -block_eps)
+            & (_cross2(a - c, w - c) >= -block_eps)
+        )
+        return not bool((free & inside).any())
 
     while len(idx) > 3:
-        clipped = False
-        for strict in (False, True):
-            for k in range(len(idx)):
-                if is_ear(k, strict_block=strict):
-                    i_prev = idx[k - 1]
-                    i_cur = idx[k]
-                    i_next = idx[(k + 1) % len(idx)]
-                    triangles.append(
-                        np.array([vertices[i_prev], vertices[i_cur], vertices[i_next]])
-                    )
-                    del idx[k]
-                    clipped = True
-                    break
-            if clipped:
-                break
-        if not clipped:
-            # drop a collinear spike if one exists, else give up
-            for k in range(len(idx)):
-                a = vertices[idx[k - 1]]
-                b = vertices[idx[k]]
-                c = vertices[idx[(k + 1) % len(idx)]]
-                if abs(float(_cross2(b - a, c - b))) <= eps_area:
-                    del idx[k]
-                    clipped = True
-                    break
-            if not clipped:
-                raise GeometryError("ear clipping failed; polygon may not be simple")
+        w = vertices[idx]
+        turns = _cross2(w - np.roll(w, 1, axis=0), np.roll(w, -1, axis=0) - w)
+        convex = np.flatnonzero(turns > eps_area)
+        ear = next(
+            (int(k) for strict in (False, True) for k in convex if is_ear(w, k, strict)),
+            None,
+        )
+        if ear is not None:
+            triangles.append(w[[ear - 1, ear, (ear + 1) % len(w)]])
+            del idx[ear]
+            continue
+        # drop a collinear spike if one exists, else give up
+        spikes = np.flatnonzero(np.abs(turns) <= eps_area)
+        if not len(spikes):
+            raise GeometryError("ear clipping failed; polygon may not be simple")
+        del idx[int(spikes[0])]
     a, b, c = (vertices[i] for i in idx)
     if float(_cross2(b - a, c - b)) > eps_area:
         triangles.append(np.array([a, b, c]))
@@ -664,14 +580,8 @@ def check_ring(outer: SimplePolygon, hole: SimplePolygon) -> None:
         raise GeometryError("hole must lie strictly inside the outer polygon")
     if bool(np.any(point_in_polygon(vh, vo))):
         raise GeometryError("outer vertices must lie outside the hole")
-    scale = _feature_scale(vo)
-    no, nh = len(vo), len(vh)
-    for i in range(no):
-        a, b = vo[i], vo[(i + 1) % no]
-        for j in range(nh):
-            c, d = vh[j], vh[(j + 1) % nh]
-            if _proper_crossing(a, b, c, d, EPS_CROSS * scale):
-                raise GeometryError("hole boundary crosses the outer boundary")
+    if _first_crossing(vo, vh, EPS_CROSS * _feature_scale(vo)) is not None:
+        raise GeometryError("hole boundary crosses the outer boundary")
 
 
 def triangulate_ring(outer: SimplePolygon, hole: SimplePolygon) -> list[Triangle]:

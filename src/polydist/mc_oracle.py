@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .geom import Disk, SimplePolygon, Triangle, triangulate
+from .geom import Disk, GeometryError, SimplePolygon, Triangle, check_ring, triangulate
 from .km_engine import CdfCurve
 
 __all__ = [
@@ -90,10 +90,21 @@ class EmpiricalCdf:
 
 @dataclass(frozen=True)
 class HollowRegion:
-    """A polygon with an excluded hole (polygonal or an exact disk)."""
+    """A polygon with an excluded hole (polygonal or an exact disk).
+
+    A polygonal hole must lie strictly inside the outer polygon; a disk
+    hole must leave some of it uncovered.
+    """
 
     outer: SimplePolygon
     hole: Union[SimplePolygon, Disk]
+
+    def __post_init__(self):
+        if not isinstance(self.hole, Disk):
+            check_ring(self.outer, self.hole)
+        elif bool(self.hole.contains(self.outer.vertices).all()):
+            # a disk is convex: holding every vertex, it covers the polygon
+            raise GeometryError("disk hole covers the whole outer polygon")
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:

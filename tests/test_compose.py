@@ -241,6 +241,11 @@ def test_ring_spec_validation():
         RingSpec(square(0.3), square(0.5))  # hole swallows the outer
     with pytest.raises(GeometryError):
         RingSpec(square(0.5), square(0.3, center=(0.4, 0.0)))  # pokes out
+    u_shape = SimplePolygon(np.array(
+        [[0, 0], [3, 0], [3, 3], [2, 3], [2, 1], [1, 1], [1, 3], [0, 3]], dtype=float))
+    bar = SimplePolygon(np.array([[0.2, 2.0], [2.8, 2.0], [2.8, 2.5], [0.2, 2.5]]))
+    with pytest.raises(GeometryError, match="crosses"):
+        RingSpec(u_shape, bar)  # every vertex inside, an edge spans the notch
     spec = RingSpec(square(0.5), square(0.3))
     assert spec.ring_area == pytest.approx(1.0 - 0.36)
 

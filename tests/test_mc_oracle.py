@@ -20,7 +20,7 @@ from polydist import (
     triangulate,
     within_triangle_pdf,
 )
-from polydist.geom import Disk
+from polydist.geom import Disk, GeometryError
 from polydist.mc_oracle import sample_uniform_polygon, sample_uniform_triangle
 
 from shapes import regular_polygon, square
@@ -248,6 +248,17 @@ def test_hollow_region_disk_hole():
     r = np.hypot(pts[:, 0], pts[:, 1])
     assert r.min() >= 0.7
     assert outer.contains(pts).all()
+
+
+def test_hollow_region_rejects_holes_that_leave_no_region():
+    # a disk covering the outer polygon would leave the sampler's rejection
+    # loop without a point to accept
+    with pytest.raises(GeometryError, match="covers"):
+        HollowRegion(square(0.5, center=(0.5, 0.5)), Disk((0.5, 0.5), 5.0))
+    with pytest.raises(GeometryError):
+        HollowRegion(square(0.5), square(0.3, center=(0.4, 0.0)))  # pokes out
+    with pytest.raises(GeometryError):
+        HollowRegion(square(0.3), square(0.5))  # swallows the outer
 
 
 def test_sample_region_rejects_unknown():
