@@ -1,11 +1,10 @@
 """Assembly of polygon and ring distance distributions.
 
-A polygon's distance curve is one sweep over its even-odd chords.  A
-ring (outer minus hole) takes one sweep each for the outer, hole and
-hole-to-ring curves, all on one orientation rule, and solves the
-area-weighted identity of the outer = hole + ring split for the
-ring-only curve.  The scaling law maps any normalized curve to an
-arbitrary size.
+A polygon's distance curve is one sweep over its edges.  A ring (outer
+minus hole) takes one sweep each for the outer, hole and hole-to-ring
+curves, all on one orientation rule, and solves the area-weighted
+identity of the outer = hole + ring split for the ring-only curve.  The
+scaling law maps any normalized curve to an arbitrary size.
 
 The paper's decomposition stays as the cross-check route: a
 triangulated region's curve is the probabilistic sum over all ordered

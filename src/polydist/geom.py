@@ -271,7 +271,8 @@ class SimplePolygon:
             raise GeometryError(
                 "polygon boundary self-intersects (edges %d and %d)" % crossing
             )
-        arr = np.ascontiguousarray(arr)
+        # copy, so that freezing the vertices leaves the caller's array alone
+        arr = np.array(arr, order="C")
         arr.flags.writeable = False
         object.__setattr__(self, "vertices", arr)
 

@@ -1,28 +1,29 @@
 """Distance distributions by integration over the line space.
 
 The engine sweeps the invariant line measure dp dtheta (theta in [0, pi),
-p the signed offset) over a region or a pair of regions.  Every line
-contributes through its chords:
+p the signed offset) over a region or a pair of regions.  A line crosses
+edges e at positions t_e, entering the region (s_e = +1) or leaving it
+(s_e = -1).  For d >= 0 the autocorrelation of its chords is
 
-* within one region, a chord of length l adds 2*d*(l-d)/S^2 for d <= l,
-  the autocorrelation of the chord with itself,
-* between two interior-disjoint regions with chords of lengths l1 and l3
-  separated by a gap l2 along the same line, the cross-correlation is the
-  trapezoid kernel T(d) = max(0, min(d-l2, l1, l3, l1+l2+l3-d)) and the
-  line adds d*T(d)/(S1*S2).
+    A(d) = L - (n/2) d - sum_{e<f} s_e s_f (d - |t_f - t_e|)_+
 
-Integrated against dp dtheta, both densities integrate to 1.
-Note the absent factor 2 in the pair case: chords of disjoint regions
-overlap under a shift in only one of the two directions along the line,
-while the within-region autocorrelation is symmetric and counts both.
+(L the chord length, n the number of crossings), and the cross-correlation
+of two interior-disjoint regions, over both directions of shift, is the
+pair sum alone over e in A and f in B.  The lines' L integrate to pi S
+and their n/2 to the perimeter P (Crofton), so the densities are
+(2d/S^2) (pi S - P d - pair sum) within a region of area S and
+(d/(S1 S2)) (- pair sum) between two; both integrate to 1.
 
-The offset integral is exact.  At each orientation the vertex
-projections cut the offsets into slabs; inside a slab every chord end
-moves linearly with p, so each kernel breakpoint (a difference of two
-chord ends) does too, and the p-integral of every piecewise linear kernel
-term over the slab is a closed-form quadratic in d.  These are binned by
-breakpoint and summed exactly at every grid node.  The only
-discretization left is the orientation rule (composite Gauss-Legendre).
+Loops are oriented with the interior on their left (outer boundaries
+counter-clockwise, holes clockwise), so at one orientation an edge keeps
+its sign over its whole offset range and crosses the lines at a position
+affine in p.  Two edges interact only where their offset ranges overlap,
+and there |t_f - t_e| is affine too, since region edges do not cross: the
+p-integral of each pair's ramp is one closed-form piece, quadratic in d,
+binned exactly per grid node.  Sorted range queries enumerate only the
+overlapping pairs.  The only discretization left is the orientation rule
+(composite Gauss-Legendre); it integrates P too, consistently with the
+pair terms.
 """
 from __future__ import annotations
 
@@ -37,6 +38,7 @@ from .geom import (
     SimplePolygon,
     Triangle,
     TrianglePairSpec,
+    _signed_area,
 )
 
 NORMALIZATION_TOL = 5e-3
@@ -197,8 +199,8 @@ def trapezoid_kernel(l1, l2, l3, d):
 # Chord sources
 # ---------------------------------------------------------------------------
 #
-# The sweeps read a source's ``loops``: the even-odd interior of those
-# closed vertex loops is the region.  ``chords`` and ``support`` serve
+# The sweeps read a source's ``loops``, each oriented once by its role:
+# the interior lies left of every edge.  ``chords`` and ``support`` serve
 # checks that clip single lines.
 
 
@@ -206,7 +208,7 @@ class ConvexSource:
     """Chords of a single convex region (triangle or convex polygon)."""
 
     def __init__(self, vertices):
-        self._clipper = ConvexClipper(vertices)
+        self._clipper = ConvexClipper(vertices)  # counter-clockwise
         self.loops = [self._clipper.vertices]
 
     def support(self, theta: float) -> tuple[float, float]:
@@ -217,31 +219,28 @@ class ConvexSource:
 
 
 class UnionSource:
-    """A union of interior-disjoint convex pieces, one loop per piece.
+    """A union of interior-disjoint convex pieces, one counter-clockwise
+    loop per piece.
 
     Pieces touching along shared edges need no merging: a shared edge
-    crosses a line twice at one position, and the correlation kernels are
-    additive over a disjoint decomposition of the chord.
+    crosses a line twice at one position, once entering and once leaving,
+    and the correlation kernels are additive over a disjoint decomposition
+    of the chord.
     """
 
     def __init__(self, pieces: Sequence):
-        self.loops = [_as_loop(p.vertices if isinstance(p, Triangle) else p) for p in pieces]
+        self.loops = [_oriented(p.vertices if isinstance(p, Triangle) else p, ccw=True)
+                      for p in pieces]
         if not self.loops:
             raise ValueError("union source needs at least one piece")
 
 
-class DifferenceSource:
-    """A region minus a strictly interior hole: the outer and the hole loop."""
-
-    def __init__(self, outer_vertices, hole_vertices):
-        self.loops = [_as_loop(outer_vertices), _as_loop(hole_vertices)]
-
-
 class PolygonSource:
-    """Chords of the even-odd interior of one or more closed vertex loops.
+    """Chords of a polygon, given as its outer loop and any holes.
 
-    A simple polygon is one loop; each hole, convex or not, is one more
-    loop.  On every line the edges crossing it (half-open rule: an edge
+    The sweeps orient the first loop counter-clockwise and every later loop
+    (a hole inside it) clockwise.  ``chords`` clips lines by the even-odd
+    rule: on every line the edges crossing it (half-open rule: an edge
     crosses when exactly one endpoint lies strictly above the line) are
     sorted along the line, and consecutive crossings pair up into the
     interior intervals.  Piece j of the result is the j-th interval on each
@@ -250,9 +249,9 @@ class PolygonSource:
     """
 
     def __init__(self, *loops):
-        self.loops = [_as_loop(loop) for loop in loops]
-        if not self.loops:
+        if not loops:
             raise ValueError("polygon source needs at least one loop")
+        self.loops = [_oriented(loop, ccw=k == 0) for k, loop in enumerate(loops)]
         self.vertices, self._ends = _edges(self)
 
     def support(self, theta: float) -> tuple[float, float]:
@@ -283,17 +282,22 @@ class PolygonSource:
         return pieces
 
 
-def _as_loop(vertices) -> np.ndarray:
+# A region minus a strictly interior hole: DifferenceSource(outer, hole).
+DifferenceSource = PolygonSource
+
+
+def _oriented(vertices, ccw: bool) -> np.ndarray:
+    """A vertex loop, listed counter-clockwise if ``ccw``, else clockwise."""
     arr = np.asarray(vertices, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 2 or len(arr) < 3:
         raise ValueError(f"a loop needs an (n >= 3, 2) vertex array, got shape {arr.shape}")
-    return arr
+    return arr if (_signed_area(arr) > 0.0) == ccw else arr[::-1]
 
 
-def _edges(source) -> tuple[np.ndarray, np.ndarray]:
-    """Start and end points of every edge of a source's loops."""
-    return (np.vstack(source.loops),
-            np.vstack([np.roll(loop, -1, axis=0) for loop in source.loops]))
+def _edges(*sources) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end points of every edge of the sources' loops."""
+    loops = [loop for source in sources for loop in source.loops]
+    return np.vstack(loops), np.vstack([np.roll(loop, -1, axis=0) for loop in loops])
 
 
 # ---------------------------------------------------------------------------
@@ -302,72 +306,57 @@ def _edges(source) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _SlabMoments:
-    """Exact per-node sums of ramps whose breakpoints move across slabs.
+    """Exact per-node sums of ramp-ups whose breakpoints move with the offset.
 
-    A term (x, q) stands for q times the mean, over one slab of offsets, of
-    the ramp-up (d - x)_+ or the ramp-down (x - d)_+, where the breakpoint
-    x moves linearly from x[0] to x[1] across the slab.  With lo, hi the
-    smaller and larger end, the mean ramp-up is
+    A term (x, q) stands for q times the mean, over a range of offsets, of
+    the ramp-up (d - x)_+, where the breakpoint x moves linearly from x[0]
+    to x[1] across the range.  With lo, hi the smaller and larger end, the
+    mean ramp-up is
 
         ((d - lo)_+^2 - (d - hi)_+^2) / (2 (hi - lo)),
 
     zero below lo, quadratic on [lo, hi] and linear, d - (lo + hi)/2,
-    above; the mean ramp-down mirrors it.  Each quadratic piece is binned by
-    its breakpoint as its three coefficients in d, and prefix sums
-    (ramp-ups) or suffix sums (ramp-downs, which vanish towards d_max)
-    evaluate every term at every node.  When hi - lo < dx at most one node
-    lies on the quadratic part: the term is binned as its linear limit and
-    that node receives its exact value directly, which keeps the
-    coefficients bounded by q / dx.
+    above.  Each quadratic piece is binned by its breakpoint as its three
+    coefficients in d, and prefix sums evaluate every term at every node.
+    When hi - lo < dx at most one node lies on the quadratic part: the term
+    is binned as its linear limit and that node receives its exact value
+    directly, which keeps the coefficients bounded by q / dx.
     """
 
     def __init__(self, n: int, d_max: float):
         self.n = n
         self.dx = d_max / n
-        # rows: coefficients of d^2, d and 1.  Ramp-up bin k holds terms
-        # active from node k on; ramp-down bin k + 1 those active up to node k.
-        self._up = np.zeros((3, n + 2))
-        self._down = np.zeros((3, n + 2))
+        # rows: coefficients of d^2, d and 1; bin k holds terms active from node k on
+        self._bins = np.zeros((3, n + 2))
         self._direct = np.zeros(n + 1)
 
-    def add_up(self, x: np.ndarray, q: np.ndarray):
+    def add_up(self, x, q: np.ndarray):
         lo, hi = np.minimum(x[0], x[1]), np.maximum(x[0], x[1])
-        k_lo, k_hi = (np.clip(np.ceil(v / self.dx), 0, self.n + 1).astype(np.intp)
-                      for v in (lo, hi))
-        self._add(self._up, q, lo, hi, k_lo, k_hi, 1.0, k_lo)
-
-    def add_down(self, x: np.ndarray, q: np.ndarray):
-        lo, hi = np.minimum(x[0], x[1]), np.maximum(x[0], x[1])
-        k_lo, k_hi = (np.clip(np.floor(v / self.dx), -1, self.n).astype(np.intp) + 1
-                      for v in (lo, hi))
-        self._add(self._down, q, hi, lo, k_hi, k_lo, -1.0, k_hi - 1)
-
-    def _add(self, table, q, near, far, k_near, k_far, sign, node):
-        """Bin q * (c (d - near)^2 from k_near, -c (d - far)^2 from k_far)
-        with c = 1 / (2 |far - near|), or for a narrow term its linear limit
-        sign * (d - mean) from k_far plus the exact value at ``node``."""
-        width = np.abs(far - near)
+        ends = np.concatenate([lo, hi])
+        idx = np.clip(np.ceil(ends / self.dx), 0, self.n + 1).astype(np.intp)
+        width = hi - lo
         wide = width >= self.dx
-        c = np.where(wide, q, 0.0) / (2.0 * np.where(wide, width, 1.0))
-        lin = np.where(wide, 0.0, sign * q)
-        mean = 0.5 * (near + far)
-        rows = (np.concatenate([c, -c]),
-                np.concatenate([-2.0 * c * near, 2.0 * c * far + lin]),
-                np.concatenate([c * near * near, -c * far * far - lin * mean]))
-        idx = np.concatenate([k_near, k_far])
-        for row, coef in zip(table, rows):
-            row += np.bincount(idx, weights=coef, minlength=self.n + 2)
-        hit = ~wide & (k_near != k_far)
-        gap = near[hit] - node[hit] * self.dx
-        self._direct += np.bincount(node[hit], weights=q[hit] * gap * gap / (2.0 * width[hit]),
+        c = np.divide(q, 2.0 * width, out=np.zeros_like(q), where=wide)
+        # c (d - lo)^2 from lo's node on, minus c (d - hi)^2 from hi's node on
+        coef = np.concatenate([c, -c])
+        scaled = coef * ends
+        rows = [coef, -2.0 * scaled, scaled * ends]
+        # narrow terms: the linear limit d - (lo + hi)/2 from hi's node on
+        lin = np.where(wide, 0.0, q)
+        rows[1][len(q):] += lin
+        rows[2][len(q):] -= lin * (0.5 * (lo + hi))
+        for row, weights in zip(self._bins, rows):
+            row += np.bincount(idx, weights=weights, minlength=self.n + 2)
+        k_lo = idx[: len(q)]
+        hit = ~wide & (k_lo != idx[len(q):])
+        gap = lo[hit] - k_lo[hit] * self.dx
+        self._direct += np.bincount(k_lo[hit], weights=q[hit] * gap * gap / (2.0 * width[hit]),
                                     minlength=self.n + 1)
 
     def node_sums(self) -> np.ndarray:
         """Weighted kernel sum at each node d_k (before any d prefactor)."""
         d = np.arange(self.n + 1) * self.dx
-        up = np.cumsum(self._up, axis=1)[:, : self.n + 1]
-        down = np.cumsum(self._down[:, ::-1], axis=1)[:, -2::-1]
-        coef = up + down
+        coef = np.cumsum(self._bins, axis=1)[:, : self.n + 1]
         return d * d * coef[0] + d * coef[1] + coef[2] + self._direct
 
 
@@ -381,10 +370,11 @@ _GAUSS_NODES = np.array([-0.8611363115940526, -0.3399810435848563,
                          0.3399810435848563, 0.8611363115940526])
 _GAUSS_WEIGHTS = np.array([0.3478548451374538, 0.6521451548625461,
                            0.6521451548625461, 0.3478548451374538])
-# A block of orientations keeps its (slab x edge) crossing table near this
-# many cells.  A block's kernel terms grow with it, so this bounds a sweep's
-# memory; larger blocks gained no measurable time on triangles or pairs.
-_BLOCK_CELLS = 1 << 13
+# A block of orientations projects about this many (orientation x edge) cells and bins
+# its edge pairs in chunks of about this many terms, about 0.6 MB in all.  At 8192 and
+# 4096, glibc gave the heap back after each sweep: 500 page faults per half-step pair.
+_BLOCK_CELLS = 1 << 11
+_BLOCK_TERMS = 1 << 11
 
 
 def _orientations(cfg: KMConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -397,112 +387,142 @@ def _orientations(cfg: KMConfig) -> tuple[np.ndarray, np.ndarray]:
     return theta, np.tile(0.5 * width * _GAUSS_WEIGHTS, cells)
 
 
-def _blocks(n_points: int, cfg: KMConfig):
-    """(cos, sin, weight) of the orientations, in bounded blocks."""
+def _blocks(n_edges: int, cfg: KMConfig):
+    """(exp(-i theta), weight) of the orientations, in equal bounded blocks."""
     theta, weight = _orientations(cfg)
-    size = max(1, _BLOCK_CELLS // (n_points * n_points))
-    for lo in range(0, len(theta), size):
-        block = theta[lo: lo + size]
-        yield np.cos(block), np.sin(block), weight[lo: lo + size]
+    n = min(len(theta), -(-len(theta) * n_edges // _BLOCK_CELLS))
+    for th, w in zip(np.array_split(theta, n), np.array_split(weight, n)):
+        yield np.exp(-1j * th), w
 
 
-def _slabs(points, cos, sin):
-    """Slabs of positive width between consecutive vertex projections:
-    (orientation within the block, lower offset, upper offset)."""
-    s = np.sort(np.outer(-sin, points[:, 0]) + np.outer(cos, points[:, 1]), axis=1)
-    j, k = np.nonzero(s[:, 1:] > s[:, :-1])
-    return j, s[j, k], s[j, k + 1]
+def _project(edges, rotation, weight) -> np.ndarray:
+    """Rows (lo, hi, t, slope, sign, weight * sign) of every edge at every
+    orientation of a block, flattened over (orientation, edge).
 
-
-def _pieces(edges, cos, sin, orient, p0, p1):
-    """Even-odd chord pieces of every slab, as (slab, start, end).
-
-    No vertex projects inside a slab, so the edges crossing its middle line
-    cross all of its lines in the same order, each at a position affine in
-    the offset.  ``start`` and ``end`` hold the piece ends at the slab's
-    lower (row 0) and upper (row 1) offset; pieces come sorted by slab and
-    along the line.
+    The edge spans the offsets [lo, hi] and crosses the line at offset p at
+    t + slope * (p - lo); sign is +1 where lines enter the region through
+    it and -1 where they leave.
     """
-    a, b = edges
-    s_a = np.outer(-sin, a[:, 0]) + np.outer(cos, a[:, 1])
-    s_b = np.outer(-sin, b[:, 0]) + np.outer(cos, b[:, 1])
-    mid = (0.5 * (p0 + p1))[:, None]
-    slab, e = np.nonzero((s_a[orient] > mid) != (s_b[orient] > mid))
-    j = orient[slab]
-    t_a = cos[j] * a[e, 0] + sin[j] * a[e, 1]
-    t_b = cos[j] * b[e, 0] + sin[j] * b[e, 1]
-    slope = (t_b - t_a) / (s_b[j, e] - s_a[j, e])
-    t = t_a + slope * (np.stack([p0[slab], p1[slab]]) - s_a[j, e])
-    order = np.lexsort((t[0] + t[1], slab))
-    t, slab = t[:, order], slab[order]
-    # every slab holds an even number of crossings, so pairs never straddle slabs
-    return slab[0::2], t[:, 0::2], t[:, 1::2]
+    # endpoints as t + i s: position along the lines and offset
+    rot_a, rot_b = (np.outer(rotation, z[:, 0] + 1j * z[:, 1]) for z in edges)
+    t_a, s_a, t_b, s_b = rot_a.real, rot_a.imag, rot_b.real, rot_b.imag
+    # the interior lies left of the edge: behind it along the line when
+    # the edge runs up in offset
+    up = s_b > s_a
+    width = np.abs(s_b - s_a)
+    slope = np.where(up, t_b - t_a, t_a - t_b) / np.where(width > 0.0, width, 1.0)
+    sign = np.where(up, -1.0, 1.0)
+    return np.stack([np.where(up, s_a, s_b), np.where(up, s_b, s_a),
+                     np.where(up, t_a, t_b), slope, sign, sign * weight[:, None]]
+                    ).reshape(6, -1)
 
 
-def _pairs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All index pairs (i, k) with lo[i] <= k < hi[i]."""
-    count = hi - lo
-    i = np.repeat(np.arange(len(lo)), count)
-    k = np.arange(len(i)) + np.repeat(lo - (np.cumsum(count) - count), count)
-    return i, k
+def _range_keys(table: np.ndarray, n_rows: int) -> np.ndarray:
+    """Integer keys (lo, hi) of the offset ranges of a projected table.
+
+    Keys order (orientation, offset) lexicographically and tie exactly where
+    offsets tie, so one searchsorted answers a range query on every
+    orientation at once.  A zero-width range gets a key above every offset
+    of its orientation, so it overlaps nothing.
+    """
+    uniq, rank = np.unique(table[:2], return_inverse=True)
+    rank = rank.reshape(2, -1)
+    rank[:, table[0] == table[1]] = len(uniq)
+    return rank + (len(uniq) + 1) * np.repeat(np.arange(n_rows), table.shape[1] // n_rows)
 
 
-def _add_trapezoids(moments, start_1, end_1, start_2, end_2, q):
-    """Trapezoid kernels of piece pairs, piece 1 before piece 2 on the line:
-    ramp-ups at the gap, gap + l1, gap + l2 and the span, signs + - - +."""
-    x = np.concatenate([start_2 - end_1, start_2 - start_1,
-                        end_2 - end_1, end_2 - start_1], axis=1)
-    moments.add_up(x, np.concatenate([q, -q, -q, q]))
+def _pairs(start: np.ndarray, end: np.ndarray):
+    """All index pairs (i, k) with start[i] <= k < end[i], in chunks of
+    about _BLOCK_TERMS pairs."""
+    count = np.maximum(end - start, 0)
+    total = np.cumsum(count)
+    lo, done = 0, 0
+    while done < total[-1]:
+        hi = max(lo + 1, int(np.searchsorted(total, done + _BLOCK_TERMS, side="right")))
+        c = count[lo:hi]
+        i = np.repeat(np.arange(lo, hi), c)
+        k = np.arange(len(i)) + np.repeat(start[lo:hi] - (np.cumsum(c) - c), c)
+        yield i, k
+        lo, done = hi, int(total[hi - 1])
+
+
+def _overlaps(lo: np.ndarray, hi: np.ndarray, in_a: np.ndarray | None):
+    """Index pairs (e, f) of edges whose range keys overlap, each pair once:
+    all pairs when ``in_a`` is None, else e in A and f outside it."""
+    order = np.argsort(lo)
+    if in_a is None:
+        # partners of the edge at sorted position i start later but below its hi
+        for i, k in _pairs(np.arange(1, len(lo) + 1), np.searchsorted(lo[order], hi[order])):
+            yield order[i], order[k]
+        return
+    order_a, order_b = order[in_a[order]], order[~in_a[order]]
+    a, b = np.flatnonzero(in_a), np.flatnonzero(~in_a)
+    # B-edges starting in [lo_e, hi_e), then A-edges starting in (lo_f, hi_f)
+    for i, k in _pairs(np.searchsorted(lo[order_b], lo[a]), np.searchsorted(lo[order_b], hi[a])):
+        yield a[i], order_b[k]
+    for i, k in _pairs(np.searchsorted(lo[order_a], lo[b], side="right"),
+                       np.searchsorted(lo[order_a], hi[b])):
+        yield order_a[k], b[i]
+
+
+def _pair_sums(edges, n_a: int, d_max: float, cfg: KMConfig):
+    """Node sums of -s_e s_f (d - |t_f - t_e|)_+ over the edge pairs whose
+    offset ranges overlap, integrated over the common range and the
+    orientation rule.  The first ``n_a`` edges form region A: with all
+    edges in A the pairs are e < f, else e in A and f in B.
+
+    Returns the node sums, the perimeter as the rule integrates it (weight
+    times half the edges' offset widths), and the counts of orientations
+    and of pair terms binned.
+    """
+    moments = _SlabMoments(cfg.grid_points, d_max)
+    n = len(edges[0])
+    perimeter, counts = 0.0, {"orientations": 0, "pair_terms": 0}
+    for rotation, weight in _blocks(n, cfg):
+        tab = _project(edges, rotation, weight)
+        perimeter += 0.5 * float(np.abs(tab[5]) @ (tab[1] - tab[0]))
+        counts["orientations"] += len(weight)
+        in_a = None if n_a == n else np.tile(np.arange(n) < n_a, len(weight))
+        for e, f in _overlaps(*_range_keys(tab, len(weight)), in_a):
+            moments.add_up(*_pair_terms(tab, e, f))  # gathered rows freed before binning
+            counts["pair_terms"] += len(e)
+    return moments.node_sums(), perimeter, counts
+
+
+def _pair_terms(tab: np.ndarray, e: np.ndarray, f: np.ndarray):
+    """|t_f - t_e| at both ends of the common offset range [p0, p1], and w s_e s_f (p0 - p1)."""
+    lo_e, hi_e, t_e, slope_e, _, w_e = tab[:, e]
+    lo_f, hi_f, t_f, slope_f, s_f, _ = tab[:, f]
+    p0, p1 = np.maximum(lo_e, lo_f), np.minimum(hi_e, hi_f)
+    x = [np.abs(t_f - t_e + slope_f * (p - lo_f) - slope_e * (p - lo_e)) for p in (p0, p1)]
+    return x, w_e * s_f * (p0 - p1)
 
 
 def sweep_within(source, area: float, d_max: float, cfg: KMConfig,
                  meta: dict | None = None) -> DensityCurve:
     """Distance density of two uniform points in one region.
 
-    ``source`` provides the region's loops; ``area`` its area; ``d_max``
-    its diameter.  Every slab adds each piece's ramp-down and the
-    trapezoid of each pair of its pieces, integrated exactly over offsets.
+    ``source`` provides the region's oriented loops; ``area`` its area;
+    ``d_max`` its diameter.  ``meta`` is extended by the number of
+    orientations swept and of edge-pair terms binned.
     """
     edges = _edges(source)
-    moments = _SlabMoments(cfg.grid_points, d_max)
-    for cos, sin, weight in _blocks(len(edges[0]), cfg):
-        orient, p0, p1 = _slabs(edges[0], cos, sin)
-        slab, start, end = _pieces(edges, cos, sin, orient, p0, p1)
-        q = (weight[orient] * (p1 - p0))[slab]
-        moments.add_down(end - start, q)
-        i, k = _pairs(np.arange(1, len(slab) + 1), np.searchsorted(slab, slab, side="right"))
-        _add_trapezoids(moments, start[:, i], end[:, i], start[:, k], end[:, k], q[i])
+    sums, perimeter, counts = _pair_sums(edges, len(edges[0]), d_max, cfg)
     grid = _grid(d_max, cfg.grid_points)
-    values = (2.0 * grid / (area * area)) * moments.node_sums()
-    return DensityCurve(d_max, values, meta or {})
+    values = (2.0 * grid / (area * area)) * (math.pi * area - perimeter * grid + sums)
+    return DensityCurve(d_max, values, dict(meta or {}, **counts))
 
 
 def sweep_between(source_a, area_a: float, source_b, area_b: float,
                   d_max: float, cfg: KMConfig, meta: dict | None = None) -> DensityCurve:
-    """Distance density between points of two interior-disjoint regions.
-
-    Slabs run between the vertex projections of both regions; each pair of
-    an A-piece and a B-piece in one slab adds its trapezoid.
-    """
-    edges_a, edges_b = _edges(source_a), _edges(source_b)
-    points = np.vstack([edges_a[0], edges_b[0]])
-    moments = _SlabMoments(cfg.grid_points, d_max)
-    for cos, sin, weight in _blocks(len(points), cfg):
-        orient, p0, p1 = _slabs(points, cos, sin)
-        slab_a, start_a, end_a = _pieces(edges_a, cos, sin, orient, p0, p1)
-        slab_b, start_b, end_b = _pieces(edges_b, cos, sin, orient, p0, p1)
-        i, k = _pairs(np.searchsorted(slab_b, slab_a, side="left"),
-                      np.searchsorted(slab_b, slab_a, side="right"))
-        sa, ea, sb, eb = start_a[:, i], end_a[:, i], start_b[:, k], end_b[:, k]
-        # disjoint pieces keep their order across a slab: compare midpoints
-        a_first = sa[0] + sa[1] + ea[0] + ea[1] < sb[0] + sb[1] + eb[0] + eb[1]
-        q = (weight[orient] * (p1 - p0))[slab_a[i]]
-        _add_trapezoids(moments, np.where(a_first, sa, sb), np.where(a_first, ea, eb),
-                        np.where(a_first, sb, sa), np.where(a_first, eb, ea), q)
+    """Distance density between points of two interior-disjoint regions:
+    the pair sum over an edge of each."""
+    n_a = sum(len(loop) for loop in source_a.loops)
+    sums, _, counts = _pair_sums(_edges(source_a, source_b), n_a, d_max, cfg)
     grid = _grid(d_max, cfg.grid_points)
-    # one direction of shift only, hence d and not 2d (see module docstring)
-    values = (grid / (area_a * area_b)) * moments.node_sums()
-    return DensityCurve(d_max, values, meta or {})
+    # both directions of shift in one pair sum, hence d (see module docstring)
+    values = (grid / (area_a * area_b)) * sums
+    return DensityCurve(d_max, values, dict(meta or {}, **counts))
 
 
 # ---------------------------------------------------------------------------
@@ -513,16 +533,10 @@ def sweep_between(source_a, area_a: float, source_b, area_b: float,
 def within_triangle_pdf(triangle: Triangle, cfg: KMConfig | None = None) -> DensityCurve:
     """Density of the distance between two uniform points in a triangle."""
     cfg = cfg or KMConfig()
-    a, b, c = triangle.side_lengths
-    meta = {
-        "region": "triangle",
-        "sides": [a, b, c],
-        "area": triangle.area,
-        "config": asdict(cfg),
-    }
-    return sweep_within(
-        ConvexSource(triangle.vertices), triangle.area, triangle.diameter, cfg, meta=meta
-    )
+    meta = {"region": "triangle", "sides": list(triangle.side_lengths),
+            "area": triangle.area, "config": asdict(cfg)}
+    return sweep_within(ConvexSource(triangle.vertices), triangle.area, triangle.diameter,
+                        cfg, meta=meta)
 
 
 def within_convex_pdf(polygon: SimplePolygon | Triangle, cfg: KMConfig | None = None) -> DensityCurve:
@@ -533,33 +547,18 @@ def within_convex_pdf(polygon: SimplePolygon | Triangle, cfg: KMConfig | None = 
         return within_triangle_pdf(polygon, cfg)
     if not polygon.is_convex():
         raise ValueError("within_convex_pdf needs a convex polygon")
-    meta = {
-        "region": "convex_polygon",
-        "n_vertices": len(polygon.vertices),
-        "area": polygon.area,
-        "config": asdict(cfg),
-    }
-    return sweep_within(
-        ConvexSource(polygon.vertices), polygon.area, polygon.diameter, cfg, meta=meta
-    )
+    meta = {"region": "convex_polygon", "n_vertices": len(polygon.vertices),
+            "area": polygon.area, "config": asdict(cfg)}
+    return sweep_within(ConvexSource(polygon.vertices), polygon.area, polygon.diameter,
+                        cfg, meta=meta)
 
 
 def cross_pair_pdf(pair: TrianglePairSpec, cfg: KMConfig | None = None) -> DensityCurve:
     """Density of the distance between uniform points of two disjoint-interior
     triangles (shared side, shared vertex, or fully disjoint)."""
     cfg = cfg or KMConfig()
-    meta = {
-        "region": "triangle_pair",
-        "kind": pair.kind,
-        "areas": list(pair.areas),
-        "config": asdict(cfg),
-    }
-    return sweep_between(
-        ConvexSource(pair.tri_a.vertices),
-        pair.areas[0],
-        ConvexSource(pair.tri_b.vertices),
-        pair.areas[1],
-        pair.max_distance,
-        cfg,
-        meta=meta,
-    )
+    meta = {"region": "triangle_pair", "kind": pair.kind, "areas": list(pair.areas),
+            "config": asdict(cfg)}
+    return sweep_between(ConvexSource(pair.tri_a.vertices), pair.areas[0],
+                         ConvexSource(pair.tri_b.vertices), pair.areas[1],
+                         pair.max_distance, cfg, meta=meta)

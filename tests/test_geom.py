@@ -95,6 +95,17 @@ def test_simple_polygon_validation():
     assert cw.area > 0.0  # orientation normalized to CCW
 
 
+def test_simple_polygon_copies_the_callers_array():
+    # a C-contiguous float64 array already listed CCW needs no conversion
+    pts = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
+    poly = SimplePolygon(pts)
+    assert pts.flags.writeable
+    assert not np.shares_memory(poly.vertices, pts)
+    pts[0] = (5.0, 5.0)
+    np.testing.assert_array_equal(pts[1:], [[1, 0], [1, 1], [0, 1]])
+    np.testing.assert_array_equal(poly.vertices[0], [0.0, 0.0])
+
+
 def test_many_vertex_star_swap_is_rejected():
     ang = 2.0 * math.pi * np.arange(200) / 200
     radius = np.where(np.arange(200) % 10 == 0, 0.8, 1.0)

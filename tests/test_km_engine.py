@@ -23,11 +23,13 @@ from polydist import (
     within_convex_pdf,
     within_triangle_pdf,
 )
+from polydist.geom import approximate_disk
 from polydist.km_engine import (
     ConvexSource,
     DifferenceSource,
     PolygonSource,
     UnionSource,
+    sweep_between,
     sweep_within,
 )
 from polydist.mc_oracle import SampleConfig, ks_distance, pdd_mc
@@ -444,12 +446,85 @@ def test_triangle_cdf_matches_closed_form_at_default_config(degs):
     assert np.max(np.abs(cdf.values - closed_cdf(tri, 500).values)) < 1e-6
 
 
-def test_many_vertex_star_vs_mc():
-    rng = np.random.default_rng(100)
-    n = 100
+def star_vertices(n, seed):
+    rng = np.random.default_rng(seed)
     radii = np.where(np.arange(n) % 2 == 0, rng.uniform(0.9, 1.0, n), rng.uniform(0.45, 0.6, n))
     ang = 2.0 * math.pi * (np.arange(n) + rng.uniform(-0.15, 0.15, n)) / n
-    star = SimplePolygon(np.stack([radii * np.cos(ang), radii * np.sin(ang)], axis=1))
+    return np.stack([radii * np.cos(ang), radii * np.sin(ang)], axis=1)
+
+
+def test_many_vertex_star_vs_mc():
+    star = SimplePolygon(star_vertices(100, 100))
     curve = sweep_within(PolygonSource(star.vertices), star.area, star.diameter, FAST)
     ecdf = pdd_mc(star, star, SampleConfig(n_pairs=50_000, seed=1001))
     assert ks_distance(pdf_to_cdf(curve), ecdf) < 0.01
+
+
+# ---------------------------------------------------------------------------
+# The signed edge-pair kernel
+# ---------------------------------------------------------------------------
+
+
+def relisted(loop, start=2):
+    """The same loop listed the other way round, from another vertex."""
+    return np.roll(np.asarray(loop)[::-1], start, axis=0)
+
+
+def test_star_listing_and_translation_leave_the_curve_alone():
+    star = star_vertices(20, 7)
+    area = SimplePolygon(star).area
+    d_max = SimplePolygon(star).diameter
+    ref = sweep_within(PolygonSource(star), area, d_max, FAST).values
+    for loop in (relisted(star), star + np.array([0.7, -1.3])):
+        curve = sweep_within(PolygonSource(loop), area, d_max, FAST)
+        np.testing.assert_allclose(curve.values, ref, rtol=0.0, atol=1e-12)
+
+
+def test_ring_hole_listing_leaves_the_curve_alone():
+    outer = SimplePolygon(star_vertices(12, 3) * 2.0)
+    hole = approximate_disk((0.05, -0.02), 0.4, 9)
+    s2, s3 = hole.area, outer.area - hole.area
+    args = (outer.diameter, FAST)
+    for source in (PolygonSource, DifferenceSource):
+        within = sweep_within(source(outer.vertices, hole.vertices), s3, *args).values
+        flipped = sweep_within(source(outer.vertices, relisted(hole.vertices)), s3, *args)
+        np.testing.assert_allclose(flipped.values, within, rtol=0.0, atol=1e-12)
+    between = sweep_between(PolygonSource(hole.vertices), s2,
+                            PolygonSource(outer.vertices, hole.vertices), s3, *args).values
+    flipped = sweep_between(PolygonSource(relisted(hole.vertices)), s2,
+                            PolygonSource(outer.vertices, relisted(hole.vertices)), s3, *args)
+    np.testing.assert_allclose(flipped.values, between, rtol=0.0, atol=1e-12)
+
+
+def test_union_piece_listing_leaves_the_curve_alone():
+    # touching triangles share vertices, the case a point-in-polygon
+    # nesting test misreads as one piece inside another
+    sq = square(0.5)
+    pieces = [sq.vertices[[0, 1, 2]], sq.vertices[[0, 2, 3]]]
+    ref = sweep_within(UnionSource(pieces), sq.area, sq.diameter, FAST).values
+    # flipping every piece flips every crossing sign and changes no product
+    # of two, so flip each piece on its own
+    for k in range(len(pieces)):
+        flipped = [relisted(p, 1) if j == k else p for j, p in enumerate(pieces)]
+        curve = sweep_within(UnionSource(flipped), sq.area, sq.diameter, FAST)
+        np.testing.assert_allclose(curve.values, ref, rtol=0.0, atol=1e-12)
+
+
+def test_zero_width_edges_are_masked():
+    # a repeated vertex makes an edge of zero length, which spans no offsets
+    # at any orientation; RuntimeWarnings are errors under this test suite
+    sq = square(0.5)
+    loop = np.insert(sq.vertices, 2, sq.vertices[1], axis=0)
+    ref = sweep_within(PolygonSource(sq.vertices), sq.area, sq.diameter, FAST)
+    curve = sweep_within(PolygonSource(loop), sq.area, sq.diameter, FAST)
+    np.testing.assert_allclose(curve.values, ref.values, rtol=0.0, atol=1e-12)
+    assert curve.meta["pair_terms"] == ref.meta["pair_terms"]
+
+
+def test_regular_64_gon_bins_only_overlapping_edge_pairs():
+    # a convex polygon's edges overlap in offset only across its two
+    # chains, about E pairs per orientation instead of all E (E - 1) / 2
+    disk = approximate_disk((0.0, 0.0), 1.0, 64)
+    curve = sweep_within(PolygonSource(disk.vertices), disk.area, disk.diameter, FAST)
+    assert curve.meta["orientations"] == 360
+    assert 0 < curve.meta["pair_terms"] <= 2 * 64 * curve.meta["orientations"]
