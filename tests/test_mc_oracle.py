@@ -21,11 +21,83 @@ from polydist import (
     within_triangle_pdf,
 )
 from polydist.geom import Disk, GeometryError
-from polydist.mc_oracle import sample_uniform_polygon, sample_uniform_triangle
+from polydist.mc_oracle import _BLOCK_ROWS, sample_uniform_polygon, sample_uniform_triangle
 
 from shapes import regular_polygon, square
 
 RIGHT = Triangle.from_vertices((0, 0), (1, 0), (0, 1))
+
+
+# The sampling formulas written out plainly: a triangle index from
+# Generator.choice, the unit-square fold by boolean-mask assignment, one
+# broadcast (m, 2) map, np.linalg.norm and a stable sort.  pdd_mc must give
+# exactly these draws: a seeded run is reproducible across versions.
+
+
+def _reference_triangle(v, rng, size):
+    uv = rng.random((size, 2))
+    over = uv.sum(axis=1) > 1.0
+    uv[over] = 1.0 - uv[over]
+    return v[0] + uv[:, :1] * (v[1] - v[0]) + uv[:, 1:] * (v[2] - v[0])
+
+
+def _reference_fan(poly):
+    tris = triangulate(poly)
+    areas = np.array([t.area for t in tris])
+    weights = areas / areas.sum()
+    v0, v1, v2 = (np.stack([t.vertices[k] for t in tris]) for k in range(3))
+
+    def sample(rng, size):
+        idx = rng.choice(len(weights), size=size, p=weights)
+        uv = rng.random((size, 2))
+        over = uv.sum(axis=1) > 1.0
+        uv[over] = 1.0 - uv[over]
+        return v0[idx] + uv[:, :1] * (v1[idx] - v0[idx]) + uv[:, 1:] * (v2[idx] - v0[idx])
+
+    return sample
+
+
+def _reference_sampler(region):
+    if isinstance(region, Triangle):
+        return lambda rng, size: _reference_triangle(region.vertices, rng, size)
+    if isinstance(region, SimplePolygon):
+        return _reference_fan(region)
+    outer = _reference_fan(region.outer)
+
+    def sample(rng, size):
+        out = np.empty((0, 2))
+        while len(out) < size:
+            cand = outer(rng, size)
+            out = np.vstack([out, cand[~region.hole.contains(cand)]])
+        return out[:size]
+
+    return sample
+
+
+def _reference_pdd_mc(region_a, region_b, cfg):
+    sample_a, sample_b = _reference_sampler(region_a), _reference_sampler(region_b)
+    chunks = []
+    for index, lo in enumerate(range(0, cfg.n_pairs, cfg.batch)):
+        m = min(cfg.batch, cfg.n_pairs - lo)
+        key = np.array([cfg.seed, index], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        a = sample_a(rng, m)
+        b = sample_b(rng, m)
+        chunks.append(np.linalg.norm(a - b, axis=1))
+    distances = np.concatenate(chunks)
+    distances.sort(kind="stable")
+    return distances
+
+
+def _barycentric_inside(tri, pts):
+    """Which points lie in the triangle, up to roundoff at its sides."""
+    v = tri.vertices
+    d = pts - v[0]
+    e1, e2 = v[1] - v[0], v[2] - v[0]
+    det = e1[0] * e2[1] - e1[1] * e2[0]
+    u = (d[:, 0] * e2[1] - d[:, 1] * e2[0]) / det
+    w = (e1[0] * d[:, 1] - e1[1] * d[:, 0]) / det
+    return (u >= -1e-12) & (w >= -1e-12) & (u + w <= 1.0 + 1e-12)
 
 
 def test_sample_config_validation():
@@ -41,6 +113,17 @@ def test_sample_config_validation():
     with pytest.raises(ValueError):
         SampleConfig(seed=-1)
     SampleConfig(seed=2**64 - 1)  # top of the admissible range
+
+
+def test_sample_config_requires_integers():
+    # a float seed used to run the truncated seed's stream; float counts
+    # passed validation and then failed inside numpy
+    for bad in ({"seed": 1.5}, {"seed": 1.0}, {"n_pairs": 2000.5},
+                {"batch": 500.5}, {"batch": True}, {"seed": "1"}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SampleConfig(**bad)
+    cfg = SampleConfig(n_pairs=np.int64(2000), seed=np.uint64(7), batch=np.int32(500))
+    assert pdd_mc(RIGHT, RIGHT, cfg).n == 2000
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +147,30 @@ def test_triangle_sampler_scalar_mode():
     rng = np.random.default_rng(1)
     p = sample_uniform_triangle(RIGHT, rng)
     assert p.shape == (2,)
+    ref = _reference_triangle(RIGHT.vertices, np.random.default_rng(1), 1)
+    np.testing.assert_array_equal(p, ref[0])
+
+
+def test_samplers_across_block_boundaries():
+    # the point map works in row blocks: sizes on either side of a block
+    # edge must give the reference formulas' points, inside the triangles
+    poly = SimplePolygon.from_vertices([(0, 0), (3, 0), (3, 1), (1, 0.5), (0, 2)])
+    tris = triangulate(poly)
+    for size in (1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1):
+        pts = sample_uniform_triangle(RIGHT, np.random.default_rng(size), size)
+        ref = _reference_triangle(RIGHT.vertices, np.random.default_rng(size), size)
+        assert pts.shape == (size, 2)
+        np.testing.assert_array_equal(pts, ref)
+        assert pts.min() >= 0.0 and pts.sum(axis=1).max() <= 1.0 + 1e-12
+
+        pts = sample_uniform_polygon(poly, np.random.default_rng(size), size)
+        ref = _reference_fan(poly)(np.random.default_rng(size), size)
+        assert pts.shape == (size, 2)
+        np.testing.assert_array_equal(pts, ref)
+        inside = np.zeros(size, dtype=bool)
+        for tri in tris:
+            inside |= _barycentric_inside(tri, pts)
+        assert inside.all()
 
 
 def test_polygon_sampler_squares_means():
@@ -86,13 +193,7 @@ def test_polygon_sampler_respects_area_weights():
     total = sum(t.area for t in tris)
     remaining = np.ones(n, dtype=bool)
     for tri in tris:
-        v = tri.vertices
-        d = pts - v[0]
-        e1, e2 = v[1] - v[0], v[2] - v[0]
-        det = e1[0] * e2[1] - e1[1] * e2[0]
-        u = (d[:, 0] * e2[1] - d[:, 1] * e2[0]) / det
-        w = (e1[0] * d[:, 1] - e1[1] * d[:, 0]) / det
-        inside = remaining & (u >= -1e-12) & (w >= -1e-12) & (u + w <= 1.0 + 1e-12)
+        inside = remaining & _barycentric_inside(tri, pts)
         frac = tri.area / total
         sigma = math.sqrt(frac * (1.0 - frac) / n)
         assert abs(inside.sum() / n - frac) < 4.0 * sigma
@@ -117,6 +218,26 @@ def test_polygon_sampler_single_triangle_reduction():
 # ---------------------------------------------------------------------------
 # Distance sampling
 # ---------------------------------------------------------------------------
+
+STAR = SimplePolygon.from_vertices([
+    (math.cos(math.pi * k / 7) * (1.0 if k % 2 == 0 else 0.45),
+     math.sin(math.pi * k / 7) * (1.0 if k % 2 == 0 else 0.45)) for k in range(14)
+])
+
+
+@pytest.mark.parametrize("region_a, region_b", [
+    (RIGHT, RIGHT),
+    (RIGHT, Triangle.from_vertices((3.0, 0.0), (4.1, 0.3), (3.3, 1.7))),
+    (STAR, STAR),
+    (HollowRegion(square(0.5), square(0.3, center=(0.05, -0.02))),) * 2,
+    (HollowRegion(STAR, Disk((0.0, 0.0), 0.3)),) * 2,
+], ids=["triangle", "triangle-pair", "star", "polygon-hole", "disk-hole"])
+def test_pdd_mc_draws_match_reference_formulas(region_a, region_b):
+    # three batches (9000 does not divide 20000), the first two spanning a
+    # block edge of the point map
+    cfg = SampleConfig(n_pairs=20_000, seed=4242, batch=9_000)
+    got = pdd_mc(region_a, region_b, cfg).samples
+    np.testing.assert_array_equal(got, _reference_pdd_mc(region_a, region_b, cfg))
 
 
 def test_pdd_mc_is_deterministic():
@@ -187,6 +308,13 @@ def test_empirical_cdf_steps():
         EmpiricalCdf(np.array([0.4, 0.2]))
     with pytest.raises(ValueError):
         EmpiricalCdf(np.array([]))
+
+
+def test_empirical_cdf_rejects_non_finite_samples():
+    # NaN compares false both ways, so the sortedness check alone let it in
+    for bad in ([0.1, 0.2, np.nan], [np.nan], [0.1, np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            EmpiricalCdf(np.array(bad))
 
 
 def test_density_estimator_window():
