@@ -186,19 +186,22 @@ def _mc_table(region_a, region_b, d_max: float, job: JobSpec):
     return grid, ecdf.density(grid), ecdf.evaluate(grid)
 
 
+def _closed_pdf(region, job: JobSpec) -> DensityCurve:
+    """Closed-form density of a triangle region at its own size."""
+    tri = _require_triangle(region, "the closed method")
+    params = TriangleParams.from_triangle(tri)
+    return scale_curve(closed_form_curve(params, n=job.km.grid_points), tri.diameter)
+
+
 def _triangle_table(job: JobSpec):
     tri = _require_triangle(geometry_from_spec(job.geometry), "triangle command")
+    if job.method == "mc":
+        return _mc_table(tri, tri, tri.diameter, job)
     if job.method == "closed":
-        params = TriangleParams.from_triangle(tri)
-        curve = scale_curve(closed_form_curve(params, n=job.km.grid_points),
-                            tri.diameter)
-        cdf = pdf_to_cdf(curve)
-        return curve.grid, curve.values, cdf.values
-    if job.method == "km":
+        curve = _closed_pdf(tri, job)
+    else:
         curve = within_triangle_pdf(tri, job.km)
-        cdf = pdf_to_cdf(curve)
-        return curve.grid, curve.values, cdf.values
-    return _mc_table(tri, tri, tri.diameter, job)
+    return curve.grid, curve.values, pdf_to_cdf(curve).values
 
 
 def _pair_table(job: JobSpec):
@@ -238,11 +241,7 @@ def _method_cdf(region, method: str, job: JobSpec):
     if method == "km":
         return polygon_pdd(region, job.km)
     if method == "closed":
-        tri = _require_triangle(region, "the closed method")
-        params = TriangleParams.from_triangle(tri)
-        curve = scale_curve(closed_form_curve(params, n=job.km.grid_points),
-                            tri.diameter)
-        return pdf_to_cdf(curve)
+        return pdf_to_cdf(_closed_pdf(region, job))
     return pdd_mc(region, region, job.mc)
 
 

@@ -258,13 +258,40 @@ def _eval_both_sides(curve, points: np.ndarray):
     return vals, vals
 
 
+def _ks_curve_vs_samples(curve: CdfCurve, ecdf: EmpiricalCdf) -> float:
+    """KS distance of a computed CDF G from an empirical one, by one merge
+    of the two sorted inputs.
+
+    At sample i the empirical CDF steps from i/n to (i+1)/n, so
+    |G(x_i) - i/n| and |G(x_i) - (i+1)/n| cover both sides of every step;
+    within a run of tied samples |G - t| is largest at the run's ends,
+    which are its left limit and its value.  The curve's nodes are then
+    checked against the empirical left limit and value there.
+    """
+    x, n = ecdf.samples, ecdf.n
+    g = curve.evaluate(x)
+    steps = np.arange(n + 1) / n
+    # max(|g - lo|, |g - hi|) = max(g - lo, hi - g) for lo < hi
+    gap = max(float((g - steps[:-1]).max()), float((steps[1:] - g).max()))
+    nodes = curve.grid
+    g = curve.evaluate(nodes)
+    lo, hi = ecdf.evaluate_left(nodes), ecdf.evaluate(nodes)
+    return max(gap, float(np.maximum(np.abs(g - hi), np.abs(g - lo)).max()))
+
+
 def ks_distance(a, b) -> float:
     """Sup-norm distance between two CDFs.
 
     Checked at every sample point and grid node of both inputs, on both
     sides of each step discontinuity, which attains the supremum for
-    piecewise linear and step functions.
+    piecewise linear and step functions.  A computed curve against an
+    empirical CDF takes one merge of the two sorted inputs; any other
+    pair is evaluated on the union of their points.
     """
+    if isinstance(a, CdfCurve) and isinstance(b, EmpiricalCdf):
+        return _ks_curve_vs_samples(a, b)
+    if isinstance(a, EmpiricalCdf) and isinstance(b, CdfCurve):
+        return _ks_curve_vs_samples(b, a)
     points = np.union1d(_curve_points(a), _curve_points(b))
     a_lo, a_hi = _eval_both_sides(a, points)
     b_lo, b_hi = _eval_both_sides(b, points)

@@ -248,6 +248,22 @@ def test_diagnostic_failures_exit_three(tmp_path, monkeypatch, capsys):
     assert "diagnostic" in capsys.readouterr().err
 
 
+def test_closed_form_breakdown_exits_three(tmp_path, capsys):
+    # a 0.005-degree sliver cancels the closed form into a negative density:
+    # a numeric failure of the closed-form stage, not a usage error
+    thin = ["--angles", "179.99,0.005,0.005"]
+    out = str(tmp_path / "thin.csv")
+    assert main(["triangle", *thin, "--method", "closed", "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert "diagnostic failure: closed form: negative density" in err
+    assert not os.path.exists(out)
+
+    geom = write_geometry(tmp_path / "thin.json", {"angles": [179.99, 0.005, 0.005]})
+    assert main(["check", "--geometry", geom, "--a", "closed", "--b", "mc",
+                 "--samples", "2000"]) == 3
+    assert "diagnostic failure: closed form" in capsys.readouterr().err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

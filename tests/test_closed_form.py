@@ -17,11 +17,14 @@ from polydist import (
 )
 from polydist.closed_form import (
     BANDS,
+    ENDPOINT_NUDGE,
     CaseThresholds,
     DomainError,
+    _band_integral,
     antiderivative,
     pdf_case,
 )
+from polydist.km_engine import DiagnosticError
 
 from shapes import random_angle_triple
 
@@ -279,3 +282,107 @@ def test_curve_container():
     assert curve.d_max == 1.0
     assert curve.meta["method"] == "closed_form"
     assert curve.integral() == pytest.approx(1.0, abs=5e-3)
+
+
+# ---------------------------------------------------------------------------
+# One array pass over the grid
+# ---------------------------------------------------------------------------
+
+FROZEN_NODES = (1, 37, 100, 175, 250, 320, 400, 470, 499)
+
+# closed_form_curve(p).values[FROZEN_NODES] from the per-node scalar
+# evaluator that the array pass replaced, with (tolerance) per triangle:
+# the slivers' antiderivative differences cancel to about 1e-10
+FROZEN_VALUES = {
+    (80, 70, 30): (1e-12, [
+        0.05233324649772153, 1.5057022935828315, 2.407164918092957,
+        1.8368372387366425, 0.9156175685956705, 0.442530803874069,
+        0.11217111470562291, 0.002392702203325191, 7.457172703618113e-08]),
+    (130, 30, 20): (1e-12, [
+        0.1112395511640964, 2.5556575644578814, 2.4262977031519823,
+        1.4674776183127702, 0.7271469581777411, 0.27427821165845556,
+        0.04577098195561353, 0.001219477680536416, 4.49836445386884e-08]),
+    (170, 5, 5): (1e-9, [
+        0.5416284307986822, 2.636264239552479, 2.1618768662818457,
+        1.3960549478323752, 0.6682066581891908, 0.24913087594018962,
+        0.04268812513023795, 0.001152142551966076, 4.2665428181631455e-08]),
+    (178, 1, 1): (1e-9, [
+        2.1150287502346368, 2.5874001906927973, 2.1549512152552914,
+        1.3928013357437903, 0.6667276170784139, 0.24884386227019967,
+        0.0426675188602053, 0.00115200518668367, 4.3750205833637466e-08]),
+}
+
+
+@pytest.mark.parametrize("degs", list(FROZEN_VALUES))
+def test_curve_matches_frozen_values(degs):
+    tol, expected = FROZEN_VALUES[degs]
+    values = closed_form_curve(params_from_degrees(*degs)).values
+    assert np.max(np.abs(values[list(FROZEN_NODES)] - expected)) <= tol
+
+
+@pytest.mark.parametrize("degs", [REF_ANGLES, (130, 30, 20), (60, 60, 60), (90, 45, 45),
+                                  (170, 5, 5), (178, 1, 1)])
+def test_array_call_equals_scalar_calls(degs):
+    p = params_from_degrees(*degs)
+    grid = np.linspace(0.0, 1.0, 201)
+    values = closed_form_pdf(p, grid)
+    assert values.shape == grid.shape
+    np.testing.assert_array_equal(values, [closed_form_pdf(p, float(d)) for d in grid])
+    np.testing.assert_array_equal(values, closed_form_curve(p, n=200).values)
+    inner = grid[1:-1]
+    for band in BANDS:
+        np.testing.assert_array_equal(pdf_case(band, p, inner),
+                                      [pdf_case(band, p, float(d)) for d in inner])
+    t = CaseThresholds.compute(p, inner)
+    for k, d in enumerate(inner):
+        one = CaseThresholds.compute(p, float(d))
+        for name in ("low_first", "low_second", "mid_first", "mid_second",
+                     "high_first", "high_second"):
+            got, want = getattr(t, name)[k], getattr(one, name)
+            assert want is None if np.isnan(got) else got == want
+    th = np.linspace(0.1, 0.4, 7)
+    np.testing.assert_array_equal(antiderivative("low_near", p, 0.5, th),
+                                  [antiderivative("low_near", p, 0.5, x) for x in th])
+
+
+def test_domain_errors_fire_inside_arrays():
+    p = params_from_degrees(*REF_ANGLES)
+    for bad in (1.2, -0.1, np.nan):
+        with pytest.raises(DomainError, match="outside"):
+            closed_form_pdf(p, np.array([0.2, bad, 0.5]))
+    for d in (np.array([0.3, 0.0]), np.array([0.3, 1.0])):
+        with pytest.raises(DomainError):
+            pdf_case("mid", p, d)
+        with pytest.raises(DomainError):
+            antiderivative("mid_far", p, d, 1.0)
+    with pytest.raises(DomainError):
+        CaseThresholds.compute(p, np.array([0.5, 0.0]))
+
+
+def test_negative_density_is_a_diagnostic_on_arrays():
+    # cancellation in a 0.005-degree sliver: the antiderivative differences
+    # lose every digit of a density of order 1
+    thin = params_from_degrees(179.99, 0.005, 0.005)
+    with pytest.raises(DiagnosticError, match=r"closed form: negative density -0\.00\d+ at d=0\.9"):
+        closed_form_pdf(thin, np.linspace(0.0, 1.0, 501))
+    with pytest.raises(DiagnosticError, match="negative density"):
+        closed_form_curve(thin)
+
+
+def test_log_sign_guard_fires_on_arrays():
+    p = params_from_degrees(*REF_ANGLES)
+    # the mid band's log argument sin(theta) changes sign across 0 in the
+    # second node's interval only
+    d = np.array([0.3, 0.4])
+    with pytest.raises(DiagnosticError, match=r"changes sign .* band mid at d=0\.4"):
+        _band_integral("mid", p, d, np.array([0.5, -0.1]), np.array([1.0, 0.1]))
+
+
+def test_singular_endpoint_is_stepped_inside():
+    # sin(theta) = 0 at theta = 0 puts log(0) into both mid antiderivatives;
+    # the end is re-evaluated ENDPOINT_NUDGE inside instead
+    p = params_from_degrees(*REF_ANGLES)
+    d = np.array([0.3, 0.6])
+    at_zero = _band_integral("mid", p, d, np.zeros(2), np.full(2, 0.5))
+    inside = _band_integral("mid", p, d, np.full(2, ENDPOINT_NUDGE), np.full(2, 0.5))
+    np.testing.assert_array_equal(at_zero, inside)

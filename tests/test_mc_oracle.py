@@ -340,6 +340,41 @@ def test_ks_distance_identities():
     assert gap == pytest.approx(0.6, abs=1e-9)
 
 
+def _reference_ks(a, b):
+    """KS distance on the sorted union of both inputs' points, each CDF
+    evaluated there on both sides of its steps: the plain formulation
+    that ks_distance must reproduce exactly."""
+
+    def points(c):
+        return c.samples if isinstance(c, EmpiricalCdf) else c.grid
+
+    def sides(c, x):
+        if isinstance(c, EmpiricalCdf):
+            return c.evaluate_left(x), c.evaluate(x)
+        return c.evaluate(x), c.evaluate(x)
+
+    x = np.union1d(points(a), points(b))
+    (a_lo, a_hi), (b_lo, b_hi) = sides(a, x), sides(b, x)
+    return float(np.maximum(np.abs(a_hi - b_hi), np.abs(a_lo - b_lo)).max())
+
+
+def test_ks_distance_matches_union_reference():
+    tri = canonicalize_triangle(angles=np.radians([80.0, 70.0, 30.0]))
+    cdf = pdf_to_cdf(within_triangle_pdf(tri, KMConfig(math.pi / 360, 1 / 400, 200)))
+    ecdf = pdd_mc(tri, tri, SampleConfig(n_pairs=200_000, seed=31))
+    # rounding to 3 decimals leaves runs of up to hundreds of tied samples
+    tied = EmpiricalCdf(np.round(ecdf.samples, 3))
+    assert np.diff(tied.samples).min() == 0.0
+    # a few samples past the curve's last node, read against its right fill
+    past = EmpiricalCdf(np.concatenate([ecdf.samples[:-50], np.linspace(1.0, 1.3, 50)]))
+    other = pdd_mc(tri, tri, SampleConfig(n_pairs=20_000, seed=32))
+    coarse = pdf_to_cdf(within_triangle_pdf(tri, KMConfig(math.pi / 180, 1 / 400, 73)))
+    for a, b in [(cdf, ecdf), (ecdf, cdf), (cdf, tied), (tied, cdf), (cdf, past),
+                 (coarse, tied), (ecdf, other), (tied, other), (cdf, coarse)]:
+        assert ks_distance(a, b) == _reference_ks(a, b)
+    assert ks_distance(cdf, tied) != ks_distance(cdf, ecdf)
+
+
 def test_ks_distance_rejects_unknown_types():
     with pytest.raises(TypeError):
         ks_distance(np.linspace(0, 1, 5), np.linspace(0, 1, 5))
