@@ -19,6 +19,7 @@ geometry error, 3 numeric diagnostic failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -39,7 +40,6 @@ from .geom import (
     hull_diameter,
 )
 from .km_engine import (
-    CdfCurve,
     DensityCurve,
     DiagnosticError,
     KMConfig,
@@ -359,7 +359,9 @@ def _add_numeric_flags(sub, with_method=True):
                      help="output file (ring: output directory); default stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="polydist",
         description="Distance distributions of uniform random points in planar regions.",

@@ -1,19 +1,19 @@
 """Assembly of polygon and ring distance distributions.
 
-A polygon's distance curve is one sweep over its edges.  A ring (outer
-minus hole) takes one sweep each for the outer, hole and hole-to-ring
-curves, all on one orientation rule, and solves the area-weighted
-identity of the outer = hole + ring split for the ring-only curve.  The
-scaling law maps any normalized curve to an arbitrary size.
+A polygon's distance curve is one sweep over its edges, and the curve
+between two triangulated regions one sweep between their triangles'
+loops.  A ring (outer minus hole) takes one sweep each for the outer,
+hole and hole-to-ring curves, all on one orientation rule, and solves the
+area-weighted identity of the outer = hole + ring split for the ring-only
+curve.  The scaling law maps any normalized curve to an arbitrary size.
 
-The paper's decomposition stays as the cross-check route: a
-triangulated region's curve is the probabilistic sum over all ordered
-triangle pairs,
+The paper's decomposition stays as the cross-check route
+(``RegionPartition``): a triangulated region's curve is the
+probabilistic sum over all ordered triangle pairs,
 
     F = sum_i sum_j (S_i * S_j / S**2) * F_ij,
 
-with F_ii the within-triangle and F_ij the cross-pair curves
-(``RegionPartition``, ``between_regions_pdd``).
+with F_ii the within-triangle and F_ij the cross-pair curves.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .km_engine import (
     DiagnosticError,
     KMConfig,
     PolygonSource,
+    UnionSource,
     cross_pair_pdf,
     pdf_to_cdf,
     sweep_between,
@@ -166,12 +167,9 @@ def weighted_mixture(curves, weights) -> CdfCurve:
 
 def polygon_pdd(poly: SimplePolygon | Triangle, cfg: KMConfig | None = None) -> CdfCurve:
     """Distance CDF between two uniform points of a simple polygon, from
-    one sweep over its chords."""
+    one sweep over its edges."""
     cfg = cfg or KMConfig()
-    if isinstance(poly, Triangle):
-        pdf = within_triangle_pdf(poly, cfg)
-    else:
-        pdf = sweep_within(PolygonSource(poly.vertices), poly.area, poly.diameter, cfg)
+    pdf = sweep_within(PolygonSource(poly.vertices), poly.area, poly.diameter, cfg)
     meta = {
         "region": "polygon",
         "area": poly.area,
@@ -183,39 +181,32 @@ def polygon_pdd(poly: SimplePolygon | Triangle, cfg: KMConfig | None = None) -> 
 
 def between_regions_pdd(part_a, part_b, cfg: KMConfig | None = None,
                         d_max: float | None = None) -> CdfCurve:
-    """Distance CDF between one uniform point in each triangulated region.
+    """Distance CDF between one uniform point in each triangulated region,
+    from one sweep between the two regions' triangles.
 
     ``part_a`` and ``part_b`` are lists of triangles; the regions must be
-    interior-disjoint (shared boundary is fine).
+    interior-disjoint (shared boundary is fine).  Every triangle pair is
+    classified, which rejects overlapping interiors and gives the default
+    ``d_max``.
     """
     cfg = cfg or KMConfig()
     tris_a = list(part_a)
     tris_b = list(part_b)
     if not tris_a or not tris_b:
         raise GeometryError("both regions need at least one triangle")
+    pairs = [classify_pair(ta, tb) for ta in tris_a for tb in tris_b]
+    if d_max is None:
+        d_max = max(p.max_distance for p in pairs)
     area_a = sum(t.area for t in tris_a)
     area_b = sum(t.area for t in tris_b)
-    pairs = {}
-    for i, ta in enumerate(tris_a):
-        for j, tb in enumerate(tris_b):
-            pairs[(i, j)] = classify_pair(ta, tb)
-    if d_max is None:
-        d_max = max(p.max_distance for p in pairs.values())
-    grid = np.linspace(0.0, d_max, cfg.grid_points + 1)
-    cdf_vals = np.zeros_like(grid)
-    pdf_vals = np.zeros_like(grid)
-    for (i, j), pair in pairs.items():
-        w = tris_a[i].area * tris_b[j].area / (area_a * area_b)
-        pdf = cross_pair_pdf(pair, cfg)
-        cdf_vals += w * _resample_cdf_values(grid, pdf_to_cdf(pdf))
-        pdf_vals += w * _resample_pdf(pdf, d_max, cfg.grid_points)
+    pdf = sweep_between(UnionSource(tris_a), area_a, UnionSource(tris_b), area_b, d_max, cfg)
     meta = {
         "region": "between",
         "n_pairs": len(pairs),
         "areas": [area_a, area_b],
-        "pdf_values": pdf_vals,
+        "pdf_values": pdf.values,
     }
-    return CdfCurve(d_max, cdf_vals, meta)
+    return CdfCurve(d_max, pdf_to_cdf(pdf).values, meta)
 
 
 @dataclass(frozen=True)
@@ -334,6 +325,4 @@ def scale_curve(curve, s: float):
         meta["pdf_values"] = np.asarray(meta["pdf_values"]) / s
     if isinstance(curve, DensityCurve):
         return DensityCurve(curve.d_max * s, curve.values / s, meta)
-    if "raw_values" in meta:
-        meta["raw_values"] = np.asarray(meta["raw_values"])
     return CdfCurve(curve.d_max * s, curve.values.copy(), meta)

@@ -200,8 +200,8 @@ def trapezoid_kernel(l1, l2, l3, d):
 # ---------------------------------------------------------------------------
 #
 # The sweeps read a source's ``loops``, each oriented once by its role:
-# the interior lies left of every edge.  ``chords`` and ``support`` serve
-# checks that clip single lines.
+# the interior lies left of every edge.  Only ``ConvexSource`` also clips
+# single lines (``chords``, ``support``), for checks of the line measure.
 
 
 class ConvexSource:
@@ -236,50 +236,14 @@ class UnionSource:
 
 
 class PolygonSource:
-    """Chords of a polygon, given as its outer loop and any holes.
-
-    The sweeps orient the first loop counter-clockwise and every later loop
-    (a hole inside it) clockwise.  ``chords`` clips lines by the even-odd
-    rule: on every line the edges crossing it (half-open rule: an edge
-    crosses when exactly one endpoint lies strictly above the line) are
-    sorted along the line, and consecutive crossings pair up into the
-    interior intervals.  Piece j of the result is the j-th interval on each
-    line, empty where a line has fewer; like the convex sources, it always
-    returns at least one piece.
-    """
+    """A polygon, given as its outer loop and any holes: the sweeps orient
+    the first loop counter-clockwise and every later loop (a hole inside
+    it) clockwise."""
 
     def __init__(self, *loops):
         if not loops:
             raise ValueError("polygon source needs at least one loop")
         self.loops = [_oriented(loop, ccw=k == 0) for k, loop in enumerate(loops)]
-        self.vertices, self._ends = _edges(self)
-
-    def support(self, theta: float) -> tuple[float, float]:
-        nx, ny = -math.sin(theta), math.cos(theta)
-        proj = self.vertices[:, 0] * nx + self.vertices[:, 1] * ny
-        return float(proj.min()), float(proj.max())
-
-    def chords(self, theta: float, p: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        p = np.atleast_1d(np.asarray(p, dtype=np.float64))[:, None]
-        ux, uy = math.cos(theta), math.sin(theta)
-        nx, ny = -uy, ux
-        a, b = self.vertices, self._ends
-        s_a = a[:, 0] * nx + a[:, 1] * ny
-        s_b = b[:, 0] * nx + b[:, 1] * ny
-        t_a = a[:, 0] * ux + a[:, 1] * uy
-        t_b = b[:, 0] * ux + b[:, 1] * uy
-        crosses = (s_a > p) != (s_b > p)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = t_a + (t_b - t_a) * ((p - s_a) / (s_b - s_a))
-        t = np.sort(np.where(crosses, t, np.inf), axis=1)
-        # closed loops cross every line an even number of times
-        count = crosses.sum(axis=1)
-        pieces = []
-        for j in range(0, max(2, int(count.max(initial=0))), 2):
-            inside = count > j
-            pieces.append((np.where(inside, t[:, j], 0.0),
-                           np.where(inside, t[:, j + 1], 0.0)))
-        return pieces
 
 
 # A region minus a strictly interior hole: DifferenceSource(outer, hole).

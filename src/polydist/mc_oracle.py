@@ -20,7 +20,6 @@ that plain formulation as the reference.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -211,9 +210,9 @@ def _sampler(region):
         def sample(rng: np.random.Generator, size: int) -> np.ndarray:
             out = np.empty((0, 2))
             while len(out) < size:
-                cand = outer(rng, size)
+                cand = outer(rng, size - len(out))
                 out = np.vstack([out, cand[~in_hole(cand)]])
-            return out[:size]
+            return out
 
         return sample
     raise TypeError(f"cannot sample region of type {type(region).__name__}")

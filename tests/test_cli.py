@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import importlib.util
 import json
 import math
 import os
@@ -269,6 +270,21 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "polydist" in capsys.readouterr().out
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_benchmark_tracer_resolves_every_target():
+    # perfbench's tracer wraps package names by their dotted paths; building
+    # its plan looks each one up, so a deleted or renamed target fails here
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    plan = tracer.Tracer()
+    assert len(plan.kind_names) == len(tracer.TARGETS)
 
 
 def readme_command_lines():

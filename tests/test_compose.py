@@ -201,14 +201,68 @@ def test_fan_root_does_not_matter():
 def test_between_single_pair_is_the_plain_sweep():
     tri_a = Triangle.from_vertices((0, 0), (1, 0), (0.4, 0.9))
     tri_b = Triangle.from_vertices((0, 0), (0.5, -0.8), (1, 0))
-    between = between_regions_pdd([tri_a], [tri_b], FAST)
     pair = classify_pair(tri_a, tri_b)
-    direct = pdf_to_cdf(cross_pair_pdf(pair, FAST))
-    np.testing.assert_array_equal(between.values, direct.values)
-    assert between.meta["n_pairs"] == 1
+    for cfg in (FAST, KMConfig()):
+        between = between_regions_pdd([tri_a], [tri_b], cfg)
+        direct = cross_pair_pdf(pair, cfg)
+        np.testing.assert_array_equal(between.values, pdf_to_cdf(direct).values)
+        np.testing.assert_array_equal(between.meta["pdf_values"], direct.values)
+        assert between.meta["n_pairs"] == 1
 
     with pytest.raises(GeometryError):
         between_regions_pdd([], [tri_b], FAST)
+
+
+def _pairwise_between_cdf(part_a, part_b, d_max):
+    """The paper's route: the area-weighted mixture of every pair's cross curve."""
+    area_a = sum(t.area for t in part_a)
+    area_b = sum(t.area for t in part_b)
+    grid = np.linspace(0.0, d_max, FAST.grid_points + 1)
+    mixed = np.zeros_like(grid)
+    for ta in part_a:
+        for tb in part_b:
+            cdf = pdf_to_cdf(cross_pair_pdf(classify_pair(ta, tb), FAST))
+            mixed += ta.area * tb.area / (area_a * area_b) * cdf.evaluate(grid)
+    return mixed
+
+
+def _square_halves():
+    left = SimplePolygon(np.array([[-0.5, -0.5], [0.0, -0.5], [0.0, 0.5], [-0.5, 0.5]]))
+    return triangulate(left), triangulate(SimplePolygon(left.vertices + [0.5, 0.0]))
+
+
+def _hexagon_fan_halves():
+    tris = triangulate(regular_polygon(6, side=1.0))
+    return tris[:2], tris[2:]
+
+
+@pytest.mark.parametrize("halves", [_hexagon_fan_halves, _square_halves],
+                         ids=["hexagon-fan", "square"])
+def test_between_regions_is_one_sweep(monkeypatch, halves):
+    part_a, part_b = halves()
+    assert len(part_a) == len(part_b) == 2
+    sweeps = []
+    sweep_between = compose.sweep_between
+
+    def record(*args, **kwargs):
+        sweeps.append(args)
+        return sweep_between(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("between_regions_pdd sweeps the regions, not their pairs")
+
+    monkeypatch.setattr(compose, "sweep_between", record)
+    monkeypatch.setattr(compose, "cross_pair_pdf", forbidden)
+    between = between_regions_pdd(part_a, part_b, FAST)
+    monkeypatch.undo()
+    assert len(sweeps) == 1
+    assert between.meta["n_pairs"] == 4
+    pairwise = _pairwise_between_cdf(part_a, part_b, between.d_max)
+    assert np.max(np.abs(between.values - pairwise)) < 1e-5
+
+    overlapping = Triangle(part_a[0].vertices + [0.05, 0.02])
+    with pytest.raises(GeometryError):
+        between_regions_pdd(part_a, [overlapping, *part_b], FAST)
 
 
 def test_hexagon_fan_pairs_reflect():

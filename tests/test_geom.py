@@ -1,7 +1,7 @@
 """Geometry layer: canonical triangles, polygons, clipping, pair classification.
 
-Line clipping is tested through ``PolygonSource``, the engine's chord
-source for arbitrary loops.
+Line clipping is tested through ``ConvexSource``, the engine's chord
+source for a convex region and the only one that clips single lines.
 """
 import math
 
@@ -19,7 +19,7 @@ from polydist.geom import (
     hull_diameter,
     triangulate,
 )
-from polydist.km_engine import ConvexSource, PolygonSource
+from polydist.km_engine import ConvexSource
 from shapes import line_through, pair_from_angles, regular_polygon, square
 from shapes import CONCAVE_PAIR_ANGLES, CONVEX_PAIR_ANGLES
 
@@ -169,50 +169,43 @@ def test_triangulation_partition_random_polygons():
             assert tuple(np.round(v, 9)) in corners
 
 
-def chords(region, theta, p):
-    """(start, end) pairs of the interior intervals of one line, in order."""
-    pieces = PolygonSource(region.vertices).chords(theta, np.array([p]))
-    return [(float(t0[0]), float(t1[0])) for t0, t1 in pieces if t1[0] > t0[0]]
+def chord(region, theta, p):
+    """(start, end) of the chord one line cuts from a convex region; a miss
+    has start > end."""
+    (t0, t1), = ConvexSource(region.vertices).chords(theta, np.array([p]))
+    return float(t0[0]), float(t1[0])
 
 
-def total_length(region, theta, p):
-    return sum(t1 - t0 for t0, t1 in chords(region, theta, p))
+def chord_length(region, theta, p):
+    t0, t1 = chord(region, theta, p)
+    return max(0.0, t1 - t0)
 
 
 def test_support_interval_examples():
     tri = canonicalize_triangle(angles=[math.pi / 3] * 3)
-    lo, hi = PolygonSource(tri.vertices).support(0.0)
+    lo, hi = ConvexSource(tri.vertices).support(0.0)
     assert hi - lo == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-12)
     sq = square(0.5, center=(0.5, 0.5))
-    lo, hi = PolygonSource(sq.vertices).support(math.pi / 2.0)
+    lo, hi = ConvexSource(sq.vertices).support(math.pi / 2.0)
     assert hi - lo == pytest.approx(1.0, abs=1e-12)
     # translated copies never meet the same vertical line
     far = Triangle(tri.vertices + np.array([5.0, 0.0]))
-    a = PolygonSource(tri.vertices).support(math.pi / 2.0)
-    b = PolygonSource(far.vertices).support(math.pi / 2.0)
+    a = ConvexSource(tri.vertices).support(math.pi / 2.0)
+    b = ConvexSource(far.vertices).support(math.pi / 2.0)
     assert min(a[1], b[1]) < max(a[0], b[0])
 
 
 def test_clip_square_horizontal_line():
     sq = square(0.5, center=(0.5, 0.5))
-    (t0, t1), = chords(sq, 0.0, 0.5)
+    t0, t1 = chord(sq, 0.0, 0.5)
     assert t1 - t0 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_clip_misses_region():
     tri = canonicalize_triangle(angles=[math.pi / 3] * 3)
-    assert chords(tri, 0.0, 2.0) == []
-    assert total_length(tri, 0.0, 2.0) == 0.0
-
-
-def test_clip_concave_quadrangle_two_chords():
-    quad = SimplePolygon(np.array([[0, 0], [4, 0], [1, 1], [0, 4]], dtype=float))
-    theta, p = line_through((2.5, 0.0), (0.0, 2.5))  # x + y = 2.5
-    assert theta == pytest.approx(3.0 * math.pi / 4.0, abs=1e-12)
-    (a0, a1), (b0, b1) = chords(quad, theta, p)
-    assert a1 - a0 == pytest.approx(0.75 * math.sqrt(2.0), abs=1e-12)
-    assert b0 - a1 == pytest.approx(math.sqrt(2.0), abs=1e-12)
-    assert b1 - b0 == pytest.approx(0.75 * math.sqrt(2.0), abs=1e-12)
+    t0, t1 = chord(tri, 0.0, 2.0)
+    assert t0 > t1
+    assert chord_length(tri, 0.0, 2.0) == 0.0
 
 
 def test_clip_rigid_motion_invariance():
@@ -220,9 +213,9 @@ def test_clip_rigid_motion_invariance():
     tri = canonicalize_triangle(angles=[DEG(80), DEG(70), DEG(30)])
     for _ in range(40):
         theta = float(rng.uniform(0.0, math.pi))
-        lo, hi = PolygonSource(tri.vertices).support(theta)
+        lo, hi = ConvexSource(tri.vertices).support(theta)
         p = float(rng.uniform(lo, hi))
-        base = total_length(tri, theta, p)
+        base = chord_length(tri, theta, p)
 
         phi = float(rng.uniform(0.0, 2.0 * math.pi))
         shift = rng.uniform(-3.0, 3.0, 2)
@@ -234,56 +227,8 @@ def test_clip_rigid_motion_invariance():
         nrm = np.array([-math.sin(theta), math.cos(theta)])
         q0 = rot @ (p * nrm) + shift
         q1 = rot @ (p * nrm + u) + shift
-        moved = total_length(moved_tri, *line_through(q0, q1))
+        moved = chord_length(moved_tri, *line_through(q0, q1))
         assert moved == pytest.approx(base, abs=1e-9)
-
-
-def test_pair_chord_order_nonnegative():
-    # both triangles of a pair as two loops of one source: the pieces come
-    # sorted along the line, and they split the two convex chords
-    rng = np.random.default_rng(13)
-    pair = pair_from_angles(*CONVEX_PAIR_ANGLES)
-    both = PolygonSource(pair.tri_a.vertices, pair.tri_b.vertices)
-    for _ in range(60):
-        theta = float(rng.uniform(0.0, math.pi))
-        al, ah = PolygonSource(pair.tri_a.vertices).support(theta)
-        bl, bh = PolygonSource(pair.tri_b.vertices).support(theta)
-        lo, hi = max(al, bl), min(ah, bh)
-        if lo >= hi:
-            continue
-        p = np.array([float(rng.uniform(lo, hi))])
-        pieces = [(float(t0[0]), float(t1[0])) for t0, t1 in both.chords(theta, p)]
-        ends = [t for piece in pieces for t in piece]
-        assert ends == sorted(ends)
-        convex = [ConvexSource(t.vertices).chords(theta, p)[0]
-                  for t in (pair.tri_a, pair.tri_b)]
-        expected = sum(max(0.0, float(t1[0] - t0[0])) for t0, t1 in convex)
-        assert sum(t1 - t0 for t0, t1 in pieces) == pytest.approx(expected, abs=1e-12)
-
-
-def test_cauchy_chord_integral_matches_area():
-    """Integrating chord length over offsets recovers the area."""
-    rng = np.random.default_rng(99)
-    for _ in range(3):
-        tri = canonicalize_triangle(
-            angles=[DEG(t) for t in _random_angles(rng)])
-        src = PolygonSource(tri.vertices)
-        diam = tri.diameter
-        dp = diam / 2000.0
-        for theta in np.linspace(0.0, math.pi, 6, endpoint=False):
-            lo, hi = src.support(float(theta))
-            ps = np.arange(lo + dp / 2.0, hi, dp)
-            total = sum(float((t1 - t0).sum())
-                        for t0, t1 in src.chords(float(theta), ps)) * dp
-            assert total == pytest.approx(tri.area, rel=1e-3)
-
-
-def _random_angles(rng):
-    while True:
-        x = np.sort(rng.uniform(0.0, 180.0, 2))
-        angles = (x[0], x[1] - x[0], 180.0 - x[1])
-        if min(angles) >= 15.0:
-            return angles
 
 
 def test_classify_mirror_pair_convex():

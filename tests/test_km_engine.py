@@ -211,26 +211,6 @@ def test_trapezoid_kernel_first_moment():
 # ---------------------------------------------------------------------------
 
 
-def test_convex_source_agrees_with_polygon_source():
-    # two independent vectorized clippers: half-planes against sorted
-    # even-odd edge crossings
-    rng = np.random.default_rng(91)
-    for _ in range(40):
-        tri = random_triangle(rng)
-        convex = ConvexSource(tri.vertices)
-        loop = PolygonSource(tri.vertices)
-        theta = rng.uniform(0.0, math.pi)
-        lo, hi = convex.support(theta)
-        assert loop.support(theta) == pytest.approx((lo, hi), abs=1e-12)
-        p = rng.uniform(lo - 0.1, hi + 0.1, 25)
-        (c0, c1), = convex.chords(theta, p)
-        (t0, t1), = loop.chords(theta, p)
-        hit = c1 - c0 > 1e-9
-        np.testing.assert_allclose(t0[hit], c0[hit], atol=1e-9)
-        np.testing.assert_allclose(t1[hit], c1[hit], atol=1e-9)
-        assert np.all(t1[~hit] - t0[~hit] <= 1e-9)
-
-
 def test_union_source_matches_single_convex_sweep():
     # a square swept directly must match the union of its two halves:
     # kernels are additive across a split chord.

@@ -67,9 +67,9 @@ def _reference_sampler(region):
     def sample(rng, size):
         out = np.empty((0, 2))
         while len(out) < size:
-            cand = outer(rng, size)
+            cand = outer(rng, size - len(out))
             out = np.vstack([out, cand[~region.hole.contains(cand)]])
-        return out[:size]
+        return out
 
     return sample
 
