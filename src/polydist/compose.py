@@ -2,10 +2,11 @@
 
 A polygon's distance curve is one sweep over its edges, and the curve
 between two triangulated regions one sweep between their triangles'
-loops.  A ring (outer minus hole) takes one sweep each for the outer,
-hole and hole-to-ring curves, all on one orientation rule, and solves the
-area-weighted identity of the outer = hole + ring split for the ring-only
-curve.  The scaling law maps any normalized curve to an arbitrary size.
+loops.  A ring (outer minus hole) takes one sweep over its loops, which
+bins each edge pair once by class (outer-outer, hole-hole, outer-hole) and
+gives the outer, hole and hole-to-ring curves; the area-weighted identity
+of the outer = hole + ring split is solved for the ring-only curve.  The
+scaling law maps any normalized curve to an arbitrary size.
 
 The paper's decomposition stays as the cross-check route
 (``RegionPartition``): a triangulated region's curve is the
@@ -41,6 +42,7 @@ from .km_engine import (
     cross_pair_pdf,
     pdf_to_cdf,
     sweep_between,
+    sweep_ring,
     sweep_within,
     within_triangle_pdf,
 )
@@ -257,7 +259,8 @@ def ring_pdd(ring: RingSpec, cfg: KMConfig | None = None) -> dict[str, CdfCurve]
     Returns {"F11", "F22", "F23", "F33", "F12", "F13"} where index 1 is
     the full outer region, 2 the hole, and 3 the ring; Fxy is the CDF of
     the distance between a uniform point of region x and one of region y.
-    F33 is solved from the area-weighted sum
+    F11, F22 and F23 come from one sweep over the ring's loops
+    (``sweep_ring``), and F33 is solved from the area-weighted sum
 
         S1^2 F11 = S2^2 F22 + 2 S2 S3 F23 + S3^2 F33.
     """
@@ -268,13 +271,11 @@ def ring_pdd(ring: RingSpec, cfg: KMConfig | None = None) -> dict[str, CdfCurve]
     d_max = ring.outer.diameter
     grid = np.linspace(0.0, d_max, cfg.grid_points + 1)
 
-    # all three sweeps share one orientation rule, so the discretization
-    # errors largely cancel in the solve for F33
-    hole = PolygonSource(ring.hole.vertices)
-    pdf11 = sweep_within(PolygonSource(ring.outer.vertices), s1, d_max, cfg)
-    pdf22 = sweep_within(hole, s2, ring.hole.diameter, cfg)
-    pdf23 = sweep_between(hole, s2, PolygonSource(ring.outer.vertices, ring.hole.vertices),
-                          s3, d_max, cfg)
+    # one sweep bins every edge pair once, so the three curves share their
+    # orientation nodes and pair terms and the discretization errors
+    # largely cancel in the solve for F33
+    pdf11, pdf22, pdf23 = sweep_ring(PolygonSource(ring.outer.vertices, ring.hole.vertices),
+                                     s1, s2, d_max, ring.hole.diameter, cfg)
     f11_vals, f22_vals, f23_vals = (
         _resample_cdf_values(grid, pdf_to_cdf(pdf)) for pdf in (pdf11, pdf22, pdf23))
     f11_pdf, f22_pdf, f23_pdf = (

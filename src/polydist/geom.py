@@ -50,10 +50,16 @@ def _as_points(points) -> np.ndarray:
     return arr
 
 
+def _next(a: np.ndarray) -> np.ndarray:
+    """Rows of ``a`` shifted cyclically so row i holds row i+1: the same
+    array as np.roll(a, -1, axis=0), at a fraction of its call overhead."""
+    return np.concatenate((a[1:], a[:1]))
+
+
 def _signed_area(vertices: np.ndarray) -> float:
     x = vertices[:, 0]
     y = vertices[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    return 0.5 * float(np.sum(x * _next(y) - _next(x) * y))
 
 
 def _feature_scale(vertices: np.ndarray) -> float:
@@ -233,8 +239,8 @@ def _first_crossing(p: np.ndarray, q: np.ndarray, eps: float) -> tuple[int, int]
     cross product exactly 0.
     """
     c = q[None]
-    d = np.roll(q, -1, axis=0)[None]
-    p_next = np.roll(p, -1, axis=0)
+    d = _next(q)[None]
+    p_next = _next(p)
     rows = max(1, _BLOCK_PAIRS // len(q))
     for start in range(0, len(p), rows):
         a = p[start:start + rows, None]
@@ -258,7 +264,7 @@ class SimplePolygon:
             raise GeometryError("a polygon needs at least 3 vertices")
         scale = _feature_scale(arr)
         snap = EPS_SNAP * scale
-        dup = np.linalg.norm(arr - np.roll(arr, -1, axis=0), axis=1) <= snap
+        dup = np.linalg.norm(arr - _next(arr), axis=1) <= snap
         if bool(dup.any()):
             raise GeometryError("polygon has repeated consecutive vertices")
         if _signed_area(arr) < 0.0:
@@ -294,8 +300,8 @@ class SimplePolygon:
 
     def is_convex(self) -> bool:
         v = self.vertices
-        e = np.roll(v, -1, axis=0) - v
-        turns = _cross2(e, np.roll(e, -1, axis=0))
+        e = _next(v) - v
+        turns = _cross2(e, _next(e))
         return bool((turns >= -EPS_CROSS * _feature_scale(v) ** 2).all())
 
 
@@ -310,7 +316,7 @@ def point_in_polygon(vertices, points) -> np.ndarray | bool:
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
     x1, y1 = v[:, 0], v[:, 1]
-    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    x2, y2 = _next(x1), _next(y1)
     px = pts[:, 0][:, None]
     py = pts[:, 1][:, None]
     straddles = (y1 > py) != (y2 > py)
@@ -348,7 +354,7 @@ class ConvexClipper:
         v = _as_points(vertices)
         if _signed_area(v) < 0.0:
             v = v[::-1].copy()
-        edges = np.roll(v, -1, axis=0) - v
+        edges = _next(v) - v
         lengths = np.linalg.norm(edges, axis=1)
         if (lengths <= 0.0).any():
             raise GeometryError("convex clipper: repeated vertices")
@@ -486,8 +492,8 @@ def classify_pair(tri_a: Triangle, tri_b: Triangle) -> TrianglePairSpec:
         quad = np.array([apex_a, p_pt, apex_b, q_pt])
         if _signed_area(quad) < 0.0:
             quad = quad[::-1]
-        edges = np.roll(quad, -1, axis=0) - quad
-        turns = _cross2(edges, np.roll(edges, -1, axis=0))
+        edges = _next(quad) - quad
+        turns = _cross2(edges, _next(edges))
         convex = bool((turns >= -EPS_CROSS * scale * scale).all())
         kind = "shared_side_convex" if convex else "shared_side_concave"
     elif len(matches) == 1:
@@ -535,7 +541,7 @@ def _ear_clip(vertices: np.ndarray) -> list[np.ndarray]:
 
     while len(idx) > 3:
         w = vertices[idx]
-        turns = _cross2(w - np.roll(w, 1, axis=0), np.roll(w, -1, axis=0) - w)
+        turns = _cross2(w - np.roll(w, 1, axis=0), _next(w) - w)
         convex = np.flatnonzero(turns > eps_area)
         ear = next(
             (int(k) for strict in (False, True) for k in convex if is_ear(w, k, strict)),

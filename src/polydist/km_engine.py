@@ -14,6 +14,13 @@ and their n/2 to the perimeter P (Crofton), so the densities are
 (2d/S^2) (pi S - P d - pair sum) within a region of area S and
 (d/(S1 S2)) (- pair sum) between two; both integrate to 1.
 
+A region with holes splits its pair sum by class: outer-outer OO,
+hole-hole HH and outer-hole OH pairs, with the perimeter split as P_O and
+P_H.  One sweep then gives three curves: the outer boundary's region
+(OO, P_O), the holes (HH, P_H), and holes to ring, whose pair sum
+2 P_H d - 2 HH - OH pairs each hole edge with itself reversed, with the
+other hole edges and with the outer edges (``sweep_ring``).
+
 Loops are oriented with the interior on their left (outer boundaries
 counter-clockwise, holes clockwise), so at one orientation an edge keeps
 its sign over its whole offset range and crosses the lines at a position
@@ -38,6 +45,7 @@ from .geom import (
     SimplePolygon,
     Triangle,
     TrianglePairSpec,
+    _next,
     _signed_area,
 )
 
@@ -188,10 +196,10 @@ def trapezoid_kernel(l1, l2, l3, d):
     l1 = np.asarray(l1, dtype=np.float64)
     l3 = np.asarray(l3, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
-    rise = d - l2
-    fall = l1 + l2 + l3 - d
-    t = np.minimum(np.minimum(rise, fall), np.minimum(l1, l3))
-    out = np.maximum(t, 0.0)
+    # one output array, worked in place: fall, then the rise, then the plateau
+    out = np.asarray(l1 + l2 + l3 - d)
+    np.minimum(out, d - l2, out=out)
+    np.clip(out, 0.0, np.minimum(l1, l3), out=out)
     return float(out) if out.ndim == 0 else out
 
 
@@ -261,7 +269,7 @@ def _oriented(vertices, ccw: bool) -> np.ndarray:
 def _edges(*sources) -> tuple[np.ndarray, np.ndarray]:
     """Start and end points of every edge of the sources' loops."""
     loops = [loop for source in sources for loop in source.loops]
-    return np.vstack(loops), np.vstack([np.roll(loop, -1, axis=0) for loop in loops])
+    return np.vstack(loops), np.vstack([_next(loop) for loop in loops])
 
 
 # ---------------------------------------------------------------------------
@@ -285,43 +293,69 @@ class _SlabMoments:
     When hi - lo < dx at most one node lies on the quadratic part: the term
     is binned as its linear limit and that node receives its exact value
     directly, which keeps the coefficients bounded by q / dx.
+
+    The sums are stacked rows, one per entry of ``d_max``: row r sums its
+    own terms over the n + 1 nodes of [0, d_max[r]].
     """
 
-    def __init__(self, n: int, d_max: float):
+    def __init__(self, n: int, d_max):
         self.n = n
-        self.dx = d_max / n
-        # rows: coefficients of d^2, d and 1; bin k holds terms active from node k on
-        self._bins = np.zeros((3, n + 2))
-        self._direct = np.zeros(n + 1)
+        self.dx = np.array(d_max, dtype=np.float64, ndmin=1) / n
+        # rows: coefficients of d^2, d and 1; bin k of a sum's n + 2 bins holds
+        # its terms active from node k on
+        self._bins = np.zeros((3, len(self.dx) * (n + 2)))
+        # exact values at single nodes, laid out like the bins
+        self._direct = np.zeros(len(self.dx) * (n + 2))
 
-    def add_up(self, x, q: np.ndarray):
-        lo, hi = np.minimum(x[0], x[1]), np.maximum(x[0], x[1])
-        ends = np.concatenate([lo, hi])
-        idx = np.clip(np.ceil(ends / self.dx), 0, self.n + 1).astype(np.intp)
+    def add_up(self, x, q: np.ndarray, row: np.ndarray | None = None):
+        """Bin the terms into the sum ``row[i]`` each, or all into the first.
+
+        Temporaries are reused in place, which keeps a chunk's peak memory
+        near the size of its terms."""
+        dx = self.dx[0] if row is None else self.dx[row]
+        m = len(q)
+        ends = np.empty(2 * m)
+        lo, hi = np.minimum(x[0], x[1], out=ends[:m]), np.maximum(x[0], x[1], out=ends[m:])
         width = hi - lo
-        wide = width >= self.dx
-        c = np.divide(q, 2.0 * width, out=np.zeros_like(q), where=wide)
-        # c (d - lo)^2 from lo's node on, minus c (d - hi)^2 from hi's node on
-        coef = np.concatenate([c, -c])
-        scaled = coef * ends
-        rows = [coef, -2.0 * scaled, scaled * ends]
-        # narrow terms: the linear limit d - (lo + hi)/2 from hi's node on
-        lin = np.where(wide, 0.0, q)
-        rows[1][len(q):] += lin
-        rows[2][len(q):] -= lin * (0.5 * (lo + hi))
-        for row, weights in zip(self._bins, rows):
-            row += np.bincount(idx, weights=weights, minlength=self.n + 2)
-        k_lo = idx[: len(q)]
-        hit = ~wide & (k_lo != idx[len(q):])
-        gap = lo[hit] - k_lo[hit] * self.dx
+        wide = width >= dx
+        nodes = ends.reshape(2, -1) / dx
+        np.clip(np.ceil(nodes, out=nodes), 0, self.n + 1, out=nodes)
+        idx = nodes.astype(np.intp).ravel()
+        del nodes
+        k_lo = idx[:m]
+        hit = ~wide & (k_lo != idx[m:])
+        gap = lo[hit] - k_lo[hit] * (dx if row is None else dx[hit])
+        if row is not None:
+            ends_idx = idx.reshape(2, -1)  # a view: offsets both ends (and k_lo) in place
+            ends_idx += row * (self.n + 2)
         self._direct += np.bincount(k_lo[hit], weights=q[hit] * gap * gap / (2.0 * width[hit]),
-                                    minlength=self.n + 1)
+                                    minlength=len(self._direct))
+        # c (d - lo)^2 from lo's node on, minus c (d - hi)^2 from hi's node on;
+        # narrow terms: the linear limit d - (lo + hi)/2 from hi's node on.
+        # Each coefficient row is binned as soon as it is formed.
+        coef = np.zeros(2 * m)
+        np.divide(q, 2.0 * width, out=coef[:m], where=wide)
+        np.negative(coef[:m], out=coef[m:])
+        lin = np.where(wide, 0.0, q)
+        d2, d1, d0 = self._bins
+        d2 += np.bincount(idx, weights=coef, minlength=len(d2))
+        scaled = np.multiply(coef, ends, out=coef)
+        weights = -2.0 * scaled
+        weights[m:] += lin
+        d1 += np.bincount(idx, weights=weights, minlength=len(d1))
+        weights = np.multiply(scaled, ends, out=weights)
+        mid = np.add(lo, hi, out=width)
+        weights[m:] -= np.multiply(lin, np.multiply(mid, 0.5, out=mid), out=mid)
+        d0 += np.bincount(idx, weights=weights, minlength=len(d0))
 
     def node_sums(self) -> np.ndarray:
-        """Weighted kernel sum at each node d_k (before any d prefactor)."""
-        d = np.arange(self.n + 1) * self.dx
-        coef = np.cumsum(self._bins, axis=1)[:, : self.n + 1]
-        return d * d * coef[0] + d * coef[1] + coef[2] + self._direct
+        """Weighted kernel sums at each node d_k (before any d prefactor),
+        one row per sum."""
+        n = self.n
+        d = np.arange(n + 1) * self.dx[:, None]
+        coef = np.cumsum(self._bins.reshape(3, -1, n + 2), axis=2)[:, :, : n + 1]
+        direct = self._direct.reshape(-1, n + 2)[:, : n + 1]
+        return d * d * coef[0] + d * coef[1] + coef[2] + direct
 
 
 # ---------------------------------------------------------------------------
@@ -429,34 +463,62 @@ def _overlaps(lo: np.ndarray, hi: np.ndarray, in_a: np.ndarray | None):
         yield order_a[k], b[i]
 
 
-def _pair_sums(edges, n_a: int, d_max: float, cfg: KMConfig):
+def _pair_sums(edges, n_a: int, d_max: float, cfg: KMConfig,
+               holes: np.ndarray | None = None, holes_d_max: float | None = None):
     """Node sums of -s_e s_f (d - |t_f - t_e|)_+ over the edge pairs whose
     offset ranges overlap, integrated over the common range and the
     orientation rule.  The first ``n_a`` edges form region A: with all
     edges in A the pairs are e < f, else e in A and f in B.
 
-    Returns the node sums, the perimeter as the rule integrates it (weight
-    times half the edges' offset widths), and the counts of orientations
-    and of pair terms binned.
+    With ``holes`` (per edge, 1 if it bounds a hole, else 0) the pairs of
+    one region are binned by class, the number of hole edges in the pair,
+    into rows 0 (outer-outer), 1 (outer-hole) and 2 (hole-hole); row 3
+    holds the hole-hole pairs again on the grid over [0, holes_d_max].
+
+    Returns the node sums (one row per class and grid), the perimeter as
+    the rule integrates it (weight times half the edges' offset widths;
+    outer and hole loops apart with ``holes``), and the counts of
+    orientations and of pair terms binned.
     """
-    moments = _SlabMoments(cfg.grid_points, d_max)
     n = len(edges[0])
-    perimeter, counts = 0.0, {"orientations": 0, "pair_terms": 0}
+    if holes is None:
+        moments, perimeter = _SlabMoments(cfg.grid_points, d_max), 0.0
+    else:
+        moments = _SlabMoments(cfg.grid_points, [d_max, d_max, d_max, holes_d_max])
+        perimeter = np.zeros(2)
+    counts = {"orientations": 0, "pair_terms": 0}
     for rotation, weight in _blocks(n, cfg):
         tab = _project(edges, rotation, weight)
-        perimeter += 0.5 * float(np.abs(tab[5]) @ (tab[1] - tab[0]))
         counts["orientations"] += len(weight)
         in_a = None if n_a == n else np.tile(np.arange(n) < n_a, len(weight))
+        if holes is None:
+            perimeter += 0.5 * float(np.abs(tab[5]) @ (tab[1] - tab[0]))
+        else:
+            side = np.tile(holes, len(weight))
+            perimeter += 0.5 * np.bincount(side, np.abs(tab[5]) * (tab[1] - tab[0]), minlength=2)
         for e, f in _overlaps(*_range_keys(tab, len(weight)), in_a):
-            moments.add_up(*_pair_terms(tab, e, f))  # gathered rows freed before binning
             counts["pair_terms"] += len(e)
+            # gathered rows and terms are freed before binning and before the next chunk
+            if holes is None:
+                moments.add_up(*_pair_terms(tab, e, f))
+            else:
+                moments.add_up(*_by_class(*_pair_terms(tab, e, f), side[e] + side[f]))
     return moments.node_sums(), perimeter, counts
+
+
+def _by_class(x, q: np.ndarray, row: np.ndarray):
+    """Terms with their class rows, the hole-hole terms (row 2) repeated
+    for row 3, the holes' own grid."""
+    again = np.flatnonzero(row == 2)
+    return ([np.concatenate([xi, xi[again]]) for xi in x], np.concatenate([q, q[again]]),
+            np.concatenate([row, np.full(len(again), 3)]))
 
 
 def _pair_terms(tab: np.ndarray, e: np.ndarray, f: np.ndarray):
     """|t_f - t_e| at both ends of the common offset range [p0, p1], and w s_e s_f (p0 - p1)."""
-    lo_e, hi_e, t_e, slope_e, _, w_e = tab[:, e]
-    lo_f, hi_f, t_f, slope_f, s_f, _ = tab[:, f]
+    lo_e, hi_e, t_e, slope_e = tab[:4, e]
+    w_e = tab[5, e]
+    lo_f, hi_f, t_f, slope_f, s_f = tab[:5, f]
     p0, p1 = np.maximum(lo_e, lo_f), np.minimum(hi_e, hi_f)
     x = [np.abs(t_f - t_e + slope_f * (p - lo_f) - slope_e * (p - lo_e)) for p in (p0, p1)]
     return x, w_e * s_f * (p0 - p1)
@@ -471,7 +533,7 @@ def sweep_within(source, area: float, d_max: float, cfg: KMConfig,
     orientations swept and of edge-pair terms binned.
     """
     edges = _edges(source)
-    sums, perimeter, counts = _pair_sums(edges, len(edges[0]), d_max, cfg)
+    (sums,), perimeter, counts = _pair_sums(edges, len(edges[0]), d_max, cfg)
     grid = _grid(d_max, cfg.grid_points)
     values = (2.0 * grid / (area * area)) * (math.pi * area - perimeter * grid + sums)
     return DensityCurve(d_max, values, dict(meta or {}, **counts))
@@ -482,11 +544,52 @@ def sweep_between(source_a, area_a: float, source_b, area_b: float,
     """Distance density between points of two interior-disjoint regions:
     the pair sum over an edge of each."""
     n_a = sum(len(loop) for loop in source_a.loops)
-    sums, _, counts = _pair_sums(_edges(source_a, source_b), n_a, d_max, cfg)
+    (sums,), _, counts = _pair_sums(_edges(source_a, source_b), n_a, d_max, cfg)
     grid = _grid(d_max, cfg.grid_points)
     # both directions of shift in one pair sum, hence d (see module docstring)
     values = (grid / (area_a * area_b)) * sums
     return DensityCurve(d_max, values, dict(meta or {}, **counts))
+
+
+def sweep_ring(source, area_outer: float, area_holes: float, d_max: float,
+               holes_d_max: float, cfg: KMConfig,
+               meta: dict | None = None) -> tuple[DensityCurve, DensityCurve, DensityCurve]:
+    """Distance densities of a region with holes, from one sweep of its loops.
+
+    ``source`` is a ``PolygonSource(outer, *holes)``: the outer loop bounds
+    a region of area S1 and diameter ``d_max``, the holes have total area
+    S2 and diameter ``holes_d_max``, and the ring between them has area
+    S3 = S1 - S2.  Each overlapping edge pair is binned once, as
+    outer-outer (OO), outer-hole (OH) or hole-hole (HH), with the perimeter
+    split as P_O and P_H.  Returns the densities
+
+        within the outer region    (2d/S1^2) (pi S1 - P_O d + OO)
+        within the holes           (2d/S2^2) (pi S2 - P_H d + HH)
+        between holes and ring     (d/(S2 S3)) (2 P_H d - 2 HH - OH)
+
+    the second on the grid over [0, holes_d_max], where HH is binned a
+    second time.  The third is the pair sum between the holes, listed
+    counter-clockwise, and the ring: a hole edge against its own reversed
+    copy gives 2 P_H d, against the other hole edges -2 HH, and against
+    the outer edges -OH.  ``meta`` is extended as in ``sweep_within``.
+    """
+    edges = _edges(source)
+    holes = (np.arange(len(edges[0])) >= len(source.loops[0])).astype(np.intp)
+    (oo, oh, hh, hh_own), (p_o, p_h), counts = _pair_sums(
+        edges, len(edges[0]), d_max, cfg, holes, holes_d_max)
+    s1, s2 = area_outer, area_holes
+    s3 = s1 - s2
+    grid = _grid(d_max, cfg.grid_points)
+    grid_h = _grid(holes_d_max, cfg.grid_points)
+    meta = dict(meta or {}, **counts)
+    return (
+        DensityCurve(d_max, (2.0 * grid / (s1 * s1)) * (math.pi * s1 - p_o * grid + oo),
+                     dict(meta)),
+        DensityCurve(holes_d_max,
+                     (2.0 * grid_h / (s2 * s2)) * (math.pi * s2 - p_h * grid_h + hh_own),
+                     dict(meta)),
+        DensityCurve(d_max, (grid / (s2 * s3)) * (2.0 * p_h * grid - 2.0 * hh - oh), meta),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,10 @@ from polydist import (
     weighted_mixture,
     within_triangle_pdf,
 )
-from polydist import compose
+from polydist import compose, km_engine
 from polydist.compose import RegionPartition
 from polydist.geom import approximate_disk
-from polydist.km_engine import DifferenceSource, sweep_within
+from polydist.km_engine import DifferenceSource, PolygonSource, sweep_between, sweep_within
 
 from shapes import regular_polygon, square
 
@@ -117,30 +117,28 @@ def test_sliver_ear_star_vs_mc():
 
 
 def test_polygon_and_ring_sweep_once_per_curve(monkeypatch):
-    sweeps = []
+    passes = []
+    orientations = km_engine._orientations
 
-    def record(sweep):
-        def wrapper(*args, **kwargs):
-            sweeps.append(args[0])
-            return sweep(*args, **kwargs)
-        return wrapper
+    def record(cfg):
+        passes.append(cfg)
+        return orientations(cfg)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the default routes do not decompose into triangle pairs")
 
-    monkeypatch.setattr(compose, "sweep_within", record(compose.sweep_within))
-    monkeypatch.setattr(compose, "sweep_between", record(compose.sweep_between))
+    monkeypatch.setattr(km_engine, "_orientations", record)
     monkeypatch.setattr(compose, "classify_pair", forbidden)
     monkeypatch.setattr(compose, "cross_pair_pdf", forbidden)
 
     polygon_pdd(L_SHAPE, FAST)
-    assert len(sweeps) == 1
+    assert len(passes) == 1
 
-    sweeps.clear()
+    passes.clear()
     ring = RingSpec(square(0.5), square(0.3))
     ring_pdd(ring, FAST)
-    # F11, F22 and F23
-    assert len(sweeps) == 3
+    # F11, F22 and F23 from one pass over the orientation rule
+    assert len(passes) == 1
 
 
 def test_pentagon_pair_weights_group_by_congruence():
@@ -345,6 +343,35 @@ def test_ring_f33_matches_one_sweep_over_the_ring(outer, hole):
     direct = pdf_to_cdf(sweep_within(DifferenceSource(outer.vertices, hole.vertices),
                                      outer.area - hole.area, outer.diameter, cfg))
     assert np.max(np.abs(f33.values - direct.values)) < 1e-4
+
+
+@pytest.mark.parametrize("cfg", [FAST, KMConfig()], ids=["fast", "default"])
+@pytest.mark.parametrize("outer, hole", [
+    (square(0.5), square(0.3)),
+    (regular_polygon(6), approximate_disk((0.0, 0.0), 0.7, 64)),
+    (square(0.5), SimplePolygon(0.3 * L_SHAPE.vertices - 0.3)),
+    (square(0.5), square(0.02)),
+], ids=["square", "hexagon-disk", "L-hole", "vanishing-hole"])
+def test_ring_curves_match_the_three_sweeps(outer, hole, cfg):
+    # one sweep over the ring's loops gives what three separate sweeps give
+    curves = ring_pdd(RingSpec(outer, hole), cfg)
+    d_max = outer.diameter
+    grid = curves["F11"].grid
+    hole_source = PolygonSource(hole.vertices)
+    swept = {
+        "F11": sweep_within(PolygonSource(outer.vertices), outer.area, d_max, cfg),
+        "F22": sweep_within(hole_source, hole.area, hole.diameter, cfg),
+        "F23": sweep_between(hole_source, hole.area,
+                             PolygonSource(outer.vertices, hole.vertices),
+                             outer.area - hole.area, d_max, cfg),
+    }
+    for name, pdf in swept.items():
+        cdf = pdf_to_cdf(pdf)
+        want_pdf = np.interp(grid, pdf.grid, pdf.values, left=0.0, right=0.0)
+        want_cdf = np.interp(grid, cdf.grid, cdf.values, left=0.0, right=float(cdf.values[-1]))
+        for got, want in ((curves[name].meta["pdf_values"], want_pdf),
+                          (curves[name].values, want_cdf)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want), name
 
 
 def test_vanishing_hole_recovers_outer():

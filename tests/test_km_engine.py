@@ -23,13 +23,14 @@ from polydist import (
     within_convex_pdf,
     within_triangle_pdf,
 )
-from polydist.geom import approximate_disk
+from polydist.geom import approximate_disk, hull_diameter
 from polydist.km_engine import (
     ConvexSource,
     DifferenceSource,
     PolygonSource,
     UnionSource,
     sweep_between,
+    sweep_ring,
     sweep_within,
 )
 from polydist.mc_oracle import SampleConfig, ks_distance, pdd_mc
@@ -238,6 +239,30 @@ def test_difference_source_matches_triangulated_ring():
     np.testing.assert_allclose(pieces.values, direct.values, atol=1e-9)
     loops = sweep_within(PolygonSource(outer.vertices, hole.vertices), area, d_max, cfg)
     np.testing.assert_allclose(loops.values, direct.values, atol=1e-9)
+
+
+def test_ring_sweep_of_two_holes_matches_three_sweeps():
+    # one sweep of an outer loop and two holes: within the outer region,
+    # within the holes (their union, on its own grid) and between holes and ring
+    outer = square(0.5)
+    holes = [square(0.15, center=(-0.25, 0.0)).vertices, square(0.1, center=(0.25, 0.1)).vertices]
+    s1 = outer.area
+    s2 = sum(SimplePolygon(h).area for h in holes)
+    d_max, holes_d_max = outer.diameter, hull_diameter(np.vstack(holes))
+    ring = sweep_ring(PolygonSource(outer.vertices, *holes), s1, s2, d_max, holes_d_max, FAST)
+    separate = (
+        sweep_within(PolygonSource(outer.vertices), s1, d_max, FAST),
+        sweep_within(UnionSource(holes), s2, holes_d_max, FAST),
+        sweep_between(UnionSource(holes), s2, PolygonSource(outer.vertices, *holes), s1 - s2,
+                      d_max, FAST),
+    )
+    for got, want in zip(ring, separate):
+        assert got.d_max == want.d_max
+        np.testing.assert_allclose(got.values, want.values, rtol=0.0,
+                                   atol=1e-12 * want.values.max())
+        assert got.meta["orientations"] == want.meta["orientations"]
+    # each edge pair is binned once, not once per curve
+    assert ring[0].meta["pair_terms"] < sum(c.meta["pair_terms"] for c in separate)
 
 
 # ---------------------------------------------------------------------------
