@@ -28,6 +28,7 @@ from .geom import (
     GeometryError,
     SimplePolygon,
     Triangle,
+    check_pairs,
     check_ring,
     classify_pair,
     hull_diameter,
@@ -187,24 +188,24 @@ def between_regions_pdd(part_a, part_b, cfg: KMConfig | None = None,
     from one sweep between the two regions' triangles.
 
     ``part_a`` and ``part_b`` are lists of triangles; the regions must be
-    interior-disjoint (shared boundary is fine).  Every triangle pair is
-    classified, which rejects overlapping interiors and gives the default
-    ``d_max``.
+    interior-disjoint (shared boundary is fine).  Every triangle pair that
+    may touch is classified, which rejects overlapping interiors; the
+    default ``d_max`` is the largest distance over all pairs.
     """
     cfg = cfg or KMConfig()
     tris_a = list(part_a)
     tris_b = list(part_b)
     if not tris_a or not tris_b:
         raise GeometryError("both regions need at least one triangle")
-    pairs = [classify_pair(ta, tb) for ta in tris_a for tb in tris_b]
+    max_distance = check_pairs(tris_a, tris_b)
     if d_max is None:
-        d_max = max(p.max_distance for p in pairs)
+        d_max = max_distance
     area_a = sum(t.area for t in tris_a)
     area_b = sum(t.area for t in tris_b)
     pdf = sweep_between(UnionSource(tris_a), area_a, UnionSource(tris_b), area_b, d_max, cfg)
     meta = {
         "region": "between",
-        "n_pairs": len(pairs),
+        "n_pairs": len(tris_a) * len(tris_b),
         "areas": [area_a, area_b],
         "pdf_values": pdf.values,
     }

@@ -503,6 +503,43 @@ def classify_pair(tri_a: Triangle, tri_b: Triangle) -> TrianglePairSpec:
     return TrianglePairSpec(tri_a, tri_b, kind, areas, max_d)
 
 
+def check_pairs(tris_a, tris_b) -> float:
+    """Reject two triangle sets whose interiors overlap, and return the
+    largest distance between a point of each.
+
+    A pair is passed over when the line of an edge of one triangle has the
+    other triangle on its outer side or on it, and no two of the pair's
+    vertices lie within twice the snap tolerance without coinciding.  Such
+    a pair can neither overlap nor snap, so :func:`classify_pair` would
+    accept it and measure its vertex distances unsnapped, as they are taken
+    here.  Every other pair goes through ``classify_pair``, in the order
+    of a loop over all pairs, and raises its GeometryErrors.  (A fan's
+    triangles all share a vertex, so their bounding boxes all meet; their
+    edges still separate them.)
+    """
+    vb = np.stack([t.vertices for t in tris_b])  # (T_b, 3, 2), CCW
+    eb = vb[:, [1, 2, 0]] - vb
+    scale_b = np.ptp(vb, axis=1).max(axis=1)
+    pairs, far = [], []
+    for ta in tris_a:
+        va = ta.vertices
+        ea = _next(va) - va
+        # (T_b, edge, vertex): a CCW edge has the interior on its left
+        cut_a = _cross2(ea[None, :, None], vb[:, None] - va[None, :, None]) <= 0.0
+        cut_b = _cross2(eb[:, :, None], va[None, None] - vb[:, :, None]) <= 0.0
+        apart = cut_a.all(axis=2).any(axis=1) | cut_b.all(axis=2).any(axis=1)
+        # the distances _max_pair_distance takes, element for element
+        diff = va[None, :, None] - vb[:, None]
+        dist = np.sqrt((diff * diff).sum(axis=3))
+        snap = 2.0 * EPS_SNAP * np.maximum(_feature_scale(va), scale_b)
+        near = ((dist <= snap[:, None, None]) & (diff != 0.0).any(axis=3)).any(axis=(1, 2))
+        clear = apart & ~near
+        if clear.any():
+            far.append(float(dist[clear].max()))
+        pairs += [classify_pair(ta, tris_b[j]) for j in np.flatnonzero(~clear)]
+    return max([p.max_distance for p in pairs] + far)
+
+
 # ---------------------------------------------------------------------------
 # Triangulation
 # ---------------------------------------------------------------------------

@@ -7,19 +7,33 @@ are bit-identical for a given :class:`SampleConfig` no matter how the
 batches are scheduled.
 
 A point of a polygon first draws its triangle, an area-weighted index
-found by inverting the cumulative weights; a point of a triangle skips
-that draw.  Then a unit-square pair (u, w) is folded into the unit
-triangle and mapped to v0 + u (v1 - v0) + w (v2 - v0), in row blocks of
-a few thousand points so that no temporary outgrows the cache.  Distances
-are sqrt(dx*dx + dy*dy).  Every seeded draw, and so every seeded output,
-is bit for bit what ``Generator.choice(p=...)``, a boolean-mask fold, one
-broadcast map, ``np.linalg.norm`` and a stable sort give; the tests keep
-that plain formulation as the reference.
+found by inverting the cumulative weights through a guide table; a point
+of a triangle skips that draw.  Then a unit-square pair (u, w) is folded
+into the unit triangle and mapped to v0 + u (v1 - v0) + w (v2 - v0).
+Distances are sqrt(dx*dx + dy*dy).
+
+A batch of m pairs reads its stream in a fixed layout: region A's draws,
+then B's, and a polygon's m triangle draws before its m pairs (u, w).
+Each double takes one 64-bit word, so every part starts at a known word
+offset: a triangle's pairs at 0; a polygon's triangle draws at 0 and its
+pairs at m; B's parts 2m (after a triangle) or 3m (after a polygon)
+further on.  ``pdd_mc`` opens one generator per part at its offset and
+works through the batch in blocks of ``_BLOCK_ROWS`` rows: it draws a
+block of A's points and the matching block of B's, maps both, and writes
+their distances straight into the output, so only the n distances
+outlive a block.  A region with a hole is the exception.  It drops the
+outer points that fall in the hole and redraws, so the words it takes
+are known only when its retries end; it draws its batch whole, and the
+other region's parts start where it stopped.
+
+Every seeded draw, and so every seeded output, is bit for bit what
+``Generator.choice(p=...)``, a boolean-mask fold, one broadcast map,
+``np.linalg.norm`` and a stable sort give; the tests keep that plain
+formulation as the reference.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Union
 
@@ -73,7 +87,7 @@ class EmpiricalCdf:
             raise ValueError("samples must be a nonempty 1-d array")
         if not np.isfinite(arr).all():
             raise ValueError("samples must be finite")
-        if np.any(np.diff(arr) < 0.0):
+        if bool((arr[1:] < arr[:-1]).any()):
             raise ValueError("samples must be sorted ascending")
         object.__setattr__(self, "samples", arr)
         arr.flags.writeable = False
@@ -123,15 +137,26 @@ class HollowRegion:
             raise GeometryError("disk hole covers the whole outer polygon")
 
 
-def _stream(seed: int, index: int) -> np.random.Generator:
+def _part(seed: int, index: int, offset: int) -> np.random.Generator:
+    """The stream of batch ``index``, keyed by (seed, index), read from its
+    64-bit word ``offset`` on.
+
+    Each double of ``Generator.random`` takes one word and Philox4x64 makes
+    four words a counter step, so the generator skips ``offset // 4`` steps
+    and discards the ``offset % 4`` doubles left over.
+    """
     key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    rng = np.random.Generator(np.random.Philox(key=key))
+    rng.bit_generator.advance(offset // 4)
+    rng.random(offset % 4)
+    return rng
 
 
-# Rows per block of the point map.  A block's temporaries (64 KiB a
-# column) stay under glibc's 128 KiB mmap threshold and in cache, so the
-# heap hands the same pages back block after block; unblocked, every
-# temporary of a call faults fresh pages in.
+# Rows per block of the point map.  Each part's draws fill one buffer,
+# block after block, and a block's temporaries (64 KiB a column) stay
+# under glibc's 128 KiB mmap threshold and in cache, so the heap hands the
+# same pages back block after block; unblocked, every temporary of a call
+# faults fresh pages in.
 _BLOCK_ROWS = 8192
 
 
@@ -141,80 +166,177 @@ def _affine_columns(v0, v1, v2):
     return tuple(np.atleast_2d(a).T for a in (v0, v1 - v0, v2 - v0))
 
 
-def _fold_and_map(uv, o, e1, e2, cdf=None, r=None):
+def _map_block(uv, cols, k=0):
     """Map unit-square draws ``uv`` (m, 2), in place, to points of triangles.
 
     Each row (u, w) is folded into the unit triangle (reflected through
-    (1/2, 1/2) when u + w > 1) and mapped to (o + u e1) + w e2 of its
-    triangle among the (2, T) affine columns: triangle
-    ``searchsorted(cdf, r[i], side="right")`` for row i, or triangle 0
-    when ``cdf`` is None.
+    (1/2, 1/2) when u + w > 1) and mapped to (o + u e1) + w e2 of triangle
+    ``k`` (one index per row, or one for all) among the (2, T) affine
+    columns ``cols``.
     """
+    over = uv[:, 0] + uv[:, 1] > 1.0
+    np.subtract(1.0, uv, out=uv, where=over[:, None])
+    u, w = uv[:, 0], uv[:, 1]
+    o, e1, e2 = cols
+    xy = []
+    for c in range(2):
+        # (o + u e1) + w e2, summed in place: + and * commute bit for bit
+        p = u * e1[c][k]
+        p += o[c][k]
+        p += w * e2[c][k]
+        xy.append(p)
+    uv[:, 0], uv[:, 1] = xy
+    return uv
+
+
+def _fold_and_map(uv, cols, pick=None, r=None):
+    """Map unit-square draws ``uv`` (m, 2), in place, block by block, to
+    points of triangle 0, or of triangle ``pick(r[i])`` for row i."""
     for lo in range(0, len(uv), _BLOCK_ROWS):
         rows = slice(lo, lo + _BLOCK_ROWS)
-        u, w = uv[rows, 0], uv[rows, 1]
-        over = u + w > 1.0
-        u = np.where(over, 1.0 - u, u)
-        w = np.where(over, 1.0 - w, w)
-        k = 0 if cdf is None else np.searchsorted(cdf, r[rows], side="right")
-        for c in range(2):
-            uv[rows, c] = o[c][k] + u * e1[c][k] + w * e2[c][k]
+        _map_block(uv[rows], cols, 0 if pick is None else pick(r[rows]))
     return uv
+
+
+def _read_blocks(rng: np.random.Generator, size: int, width: int):
+    """Blocks of ``size`` draws, ``width`` to a row, from ``rng``, each
+    filled into the same buffer in turn."""
+    buf = np.empty((min(_BLOCK_ROWS, size), width))
+    for lo in range(0, size, _BLOCK_ROWS):
+        yield rng.random(out=buf[:size - lo])
+
+
+class _TriangleDraws:
+    """Uniform points of a triangle: one unit-square pair each."""
+
+    words = 2  # stream words a point takes
+
+    def __init__(self, tri: Triangle):
+        self.cols = _affine_columns(*tri.vertices)
+
+    def __call__(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return _fold_and_map(rng.random((size, 2)), self.cols)
+
+    def batch(self, seed: int, index: int, offset: int, size: int):
+        """Blocks of ``size`` points drawn from word ``offset`` of
+        batch ``index``'s stream, and the word offset after them."""
+        pairs = _read_blocks(_part(seed, index, offset), size, 2)
+        return (_map_block(uv, self.cols) for uv in pairs), offset + self.words * size
+
+
+class _GuideTable:
+    """``searchsorted(cdf, r, side="right")`` for keys r in [0, 1), read
+    off a guide table (Chen & Asau, 1974) of increasing ``cdf`` ending at 1.
+
+    [0, 1) is cut into 2^k >= 4T buckets, so r * buckets and the bucket
+    edges are exact.  A key in a bucket with no ``cdf`` value strictly
+    inside takes the bucket's index outright; only keys in the other
+    buckets, at most T - 1 of them, are searched.
+    """
+
+    def __init__(self, cdf: np.ndarray):
+        self.cdf = cdf
+        self.buckets = max(64, 1 << (4 * len(cdf) - 1).bit_length())
+        edges = np.arange(self.buckets + 1) / self.buckets
+        self.index = np.searchsorted(cdf, edges[:-1], side="right")
+        self.crowded = np.searchsorted(cdf, edges[1:], side="left") > self.index
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        b = (r * self.buckets).astype(np.intp)
+        k = self.index[b]
+        search = self.crowded[b]
+        if search.any():
+            k[search] = np.searchsorted(self.cdf, r[search], side="right")
+        return k
+
+
+class _FanDraws:
+    """Uniform points of a simple polygon via area-weighted triangles; the
+    polygon is triangulated once, here.
+
+    A batch of points draws all its triangle indices first, by inverting
+    the cumulative area weights as ``Generator.choice(p=weights)`` does,
+    and then its unit-square pairs.
+    """
+
+    words = 3  # stream words a point takes
+
+    def __init__(self, poly: SimplePolygon):
+        tris = triangulate(poly)
+        areas = np.array([t.area for t in tris])
+        cdf = np.cumsum(areas / areas.sum())
+        cdf /= cdf[-1]
+        self.pick = _GuideTable(cdf)
+        self.cols = _affine_columns(*(np.stack([t.vertices[k] for t in tris])
+                                      for k in range(3)))
+
+    def __call__(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        r = rng.random(size)  # the stream gives the triangle draws first
+        return _fold_and_map(rng.random((size, 2)), self.cols, self.pick, r)
+
+    def batch(self, seed: int, index: int, offset: int, size: int):
+        """Blocks of ``size`` points drawn from word ``offset`` of
+        batch ``index``'s stream, and the word offset after them: the
+        indices are read from ``offset`` on, the pairs from ``offset + size``."""
+        keys = _read_blocks(_part(seed, index, offset), size, 1)
+        pairs = _read_blocks(_part(seed, index, offset + size), size, 2)
+        blocks = (_map_block(uv, self.cols, self.pick(r[:, 0])) for r, uv in zip(keys, pairs))
+        return blocks, offset + self.words * size
+
+
+class _HollowDraws:
+    """Uniform points of a region with a hole, by rejection: outer points
+    in the hole are dropped and each retry draws only those still missing.
+
+    How many words a batch takes is known only once its retries end, so a
+    batch is drawn whole before its points are handed out in blocks.
+    """
+
+    def __init__(self, region: HollowRegion):
+        self.outer, self.in_hole = _FanDraws(region.outer), region.hole.contains
+
+    def draw(self, rng: np.random.Generator, size: int):
+        """``size`` points and the number of words they took."""
+        out, words = np.empty((0, 2)), 0
+        while len(out) < size:
+            missing = size - len(out)
+            cand = self.outer(rng, missing)
+            words += self.outer.words * missing
+            out = np.vstack([out, cand[~self.in_hole(cand)]])
+        return out, words
+
+    def __call__(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return self.draw(rng, size)[0]
+
+    def batch(self, seed: int, index: int, offset: int, size: int):
+        pts, words = self.draw(_part(seed, index, offset), size)
+        blocks = (pts[lo:lo + _BLOCK_ROWS] for lo in range(0, size, _BLOCK_ROWS))
+        return blocks, offset + words
 
 
 def sample_uniform_triangle(tri: Triangle, rng: np.random.Generator,
                             size: int | None = None) -> np.ndarray:
     """Uniform points in a triangle: u,v ~ U(0,1), reflected if u+v > 1."""
-    uv = rng.random((1 if size is None else size, 2))
-    pts = _fold_and_map(uv, *_affine_columns(*tri.vertices))
+    pts = _TriangleDraws(tri)(rng, 1 if size is None else size)
     return pts[0] if size is None else pts
-
-
-def _fan_sampler(poly):
-    """Sampler of uniform points in a simple polygon via area-weighted
-    triangles; the polygon is triangulated once, here.
-
-    A point draws its triangle first, by inverting the cumulative area
-    weights as ``Generator.choice(p=weights)`` does, and then its
-    unit-square pair.
-    """
-    tris = triangulate(poly)
-    areas = np.array([t.area for t in tris])
-    cdf = np.cumsum(areas / areas.sum())
-    cdf /= cdf[-1]
-    cols = _affine_columns(*(np.stack([t.vertices[k] for t in tris]) for k in range(3)))
-
-    def sample(rng: np.random.Generator, size: int) -> np.ndarray:
-        r = rng.random(size)  # the stream gives the triangle draws first
-        return _fold_and_map(rng.random((size, 2)), *cols, cdf, r)
-
-    return sample
 
 
 def sample_uniform_polygon(poly: SimplePolygon, rng: np.random.Generator,
                            size: int | None = None) -> np.ndarray:
     """Uniform points in a simple polygon via area-weighted triangles."""
-    pts = _fan_sampler(poly)(rng, 1 if size is None else size)
+    pts = _FanDraws(poly)(rng, 1 if size is None else size)
     return pts[0] if size is None else pts
 
 
 def _sampler(region):
-    """A function (rng, size) -> uniform points of the region."""
+    """The region's draws: called as (rng, size) -> uniform points, and
+    read blockwise from a batch's stream by ``batch``."""
     if isinstance(region, Triangle):
-        return functools.partial(sample_uniform_triangle, region)
+        return _TriangleDraws(region)
     if isinstance(region, SimplePolygon):
-        return _fan_sampler(region)
+        return _FanDraws(region)
     if isinstance(region, HollowRegion):
-        outer, in_hole = _fan_sampler(region.outer), region.hole.contains
-
-        def sample(rng: np.random.Generator, size: int) -> np.ndarray:
-            out = np.empty((0, 2))
-            while len(out) < size:
-                cand = outer(rng, size - len(out))
-                out = np.vstack([out, cand[~in_hole(cand)]])
-            return out
-
-        return sample
+        return _HollowDraws(region)
     raise TypeError(f"cannot sample region of type {type(region).__name__}")
 
 
@@ -223,20 +345,26 @@ def pdd_mc(region_a, region_b, cfg: SampleConfig | None = None) -> EmpiricalCdf:
 
     ``region_a`` and ``region_b`` may be the same object: the two points
     of a pair are always drawn independently.  Each region is prepared
-    (triangulated) once per call, not once per batch.
+    (triangulated) once per call, not once per batch.  A batch's stream
+    holds A's draws and then B's; each is read from its own offset, block
+    by block, and each block of distances is written straight into the
+    one n-sized array, which is then sorted in place.
     """
     cfg = cfg or SampleConfig()
-    sample_a = _sampler(region_a)
-    sample_b = sample_a if region_b is region_a else _sampler(region_b)
+    draws_a = _sampler(region_a)
+    draws_b = draws_a if region_b is region_a else _sampler(region_b)
     distances = np.empty(cfg.n_pairs)
     for index, lo in enumerate(range(0, cfg.n_pairs, cfg.batch)):
         out = distances[lo:lo + cfg.batch]
-        rng = _stream(cfg.seed, index)
-        # sqrt(dx*dx + dy*dy), worked in place in the first sample's array
-        d = sample_a(rng, len(out))
-        d -= sample_b(rng, len(out))
-        d *= d
-        np.sqrt(np.add(d[:, 0], d[:, 1], out=out), out=out)
+        blocks_a, words_a = draws_a.batch(cfg.seed, index, 0, len(out))
+        blocks_b, _ = draws_b.batch(cfg.seed, index, words_a, len(out))
+        starts = range(0, len(out), _BLOCK_ROWS)
+        for start, a, b in zip(starts, blocks_a, blocks_b):
+            # sqrt(dx*dx + dy*dy), worked in place in A's block
+            d = out[start:start + _BLOCK_ROWS]
+            a -= b
+            a *= a
+            np.sqrt(np.add(a[:, 0], a[:, 1], out=d), out=d)
     distances.sort()
     return EmpiricalCdf(distances)
 
@@ -264,14 +392,17 @@ def _ks_curve_vs_samples(curve: CdfCurve, ecdf: EmpiricalCdf) -> float:
     At sample i the empirical CDF steps from i/n to (i+1)/n, so
     |G(x_i) - i/n| and |G(x_i) - (i+1)/n| cover both sides of every step;
     within a run of tied samples |G - t| is largest at the run's ends,
-    which are its left limit and its value.  The curve's nodes are then
+    which are its left limit and its value.  The samples are read in
+    blocks, so no n-sized temporary is made.  The curve's nodes are then
     checked against the empirical left limit and value there.
     """
     x, n = ecdf.samples, ecdf.n
-    g = curve.evaluate(x)
-    steps = np.arange(n + 1) / n
-    # max(|g - lo|, |g - hi|) = max(g - lo, hi - g) for lo < hi
-    gap = max(float((g - steps[:-1]).max()), float((steps[1:] - g).max()))
+    gap = 0.0
+    for start in range(0, n, _BLOCK_ROWS):
+        g = curve.evaluate(x[start:start + _BLOCK_ROWS])
+        i = np.arange(start, start + len(g))
+        # max(|g - lo|, |g - hi|) = max(g - lo, hi - g) for lo < hi
+        gap = max(gap, float((g - i / n).max()), float(((i + 1) / n - g).max()))
     nodes = curve.grid
     g = curve.evaluate(nodes)
     lo, hi = ecdf.evaluate_left(nodes), ecdf.evaluate(nodes)

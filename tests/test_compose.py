@@ -29,10 +29,16 @@ from polydist import (
     weighted_mixture,
     within_triangle_pdf,
 )
-from polydist import compose, km_engine
+from polydist import compose, geom, km_engine
 from polydist.compose import RegionPartition
 from polydist.geom import approximate_disk
-from polydist.km_engine import DifferenceSource, PolygonSource, sweep_between, sweep_within
+from polydist.km_engine import (
+    DifferenceSource,
+    PolygonSource,
+    UnionSource,
+    sweep_between,
+    sweep_within,
+)
 
 from shapes import regular_polygon, square
 
@@ -261,6 +267,45 @@ def test_between_regions_is_one_sweep(monkeypatch, halves):
     overlapping = Triangle(part_a[0].vertices + [0.05, 0.02])
     with pytest.raises(GeometryError):
         between_regions_pdd(part_a, [overlapping, *part_b], FAST)
+
+
+def test_between_regions_classifies_only_pairs_that_may_touch(monkeypatch):
+    # every triangle of a fan shares its apex, so all 121 pairs of these
+    # halves touch; the edges of each pair still separate the two triangles
+    tris = triangulate(regular_polygon(24, side=0.3))
+    part_a, part_b = tris[:11], tris[11:]
+    assert len(part_b) == 11
+    d_max = max(classify_pair(ta, tb).max_distance for ta in part_a for tb in part_b)
+    area_a = sum(t.area for t in part_a)
+    area_b = sum(t.area for t in part_b)
+    pdf = sweep_between(UnionSource(part_a), area_a, UnionSource(part_b), area_b, d_max, FAST)
+
+    calls = []
+    classify = geom.classify_pair
+
+    def counting(ta, tb):
+        calls.append((ta, tb))
+        return classify(ta, tb)
+
+    monkeypatch.setattr(geom, "classify_pair", counting)
+    between = between_regions_pdd(part_a, part_b, FAST)
+    assert len(calls) < 121
+    assert between.d_max == d_max
+    assert between.meta["n_pairs"] == 121
+    np.testing.assert_array_equal(between.values, pdf_to_cdf(pdf).values)
+    np.testing.assert_array_equal(between.meta["pdf_values"], pdf.values)
+
+    # an overlapping triangle, or one whose vertex lies within the snap
+    # tolerance of another's, is still classified
+    overlapping = Triangle(part_a[3].vertices + [0.01, 0.004])
+    with pytest.raises(GeometryError, match="overlap"):
+        between_regions_pdd(part_a, [*part_b, overlapping], FAST)
+    apex = np.array(part_b[0].vertices)
+    assert (apex[0] == part_a[0].vertices[0]).all()
+    apex[0] += 1e-11
+    moved = Triangle(apex)
+    between_regions_pdd(part_a, [moved, *part_b[1:]], FAST)
+    assert sum(tb is moved for _, tb in calls) == len(part_a)
 
 
 def test_hexagon_fan_pairs_reflect():

@@ -1,6 +1,7 @@
 """Tests for the sampling oracle and the CDF distance."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +174,29 @@ def test_samplers_across_block_boundaries():
         assert inside.all()
 
 
+@pytest.mark.parametrize("cdf", [
+    [1.0],
+    [0.25, 0.5, 0.75, 1.0],  # every value on a bucket edge
+    [0.1, 0.1, 0.6, 0.6, 1.0, 1.0],  # repeated values
+    list(np.linspace(0.3, 0.3 + 1e-6, 50)) + [1.0],  # 50 values in one bucket
+    list(np.cumsum(np.full(198, 1.0 / 198))),
+], ids=["one-triangle", "bucket-edges", "repeats", "crowded-bucket", "even-198"])
+def test_guide_table_matches_searchsorted(cdf):
+    from polydist.mc_oracle import _GuideTable
+
+    cdf = np.asarray(cdf)
+    cdf /= cdf[-1]
+    table = _GuideTable(cdf)
+    edges = np.arange(table.buckets) / table.buckets
+    keys = np.concatenate([
+        cdf[cdf < 1.0], edges, np.random.default_rng(7).random(20_000),
+        [0.0, np.nextafter(1.0, 0.0)],
+    ])
+    keys = np.concatenate([keys, np.nextafter(keys, 0.0), np.nextafter(keys, 1.0)])
+    keys = keys[(keys >= 0.0) & (keys < 1.0)]
+    np.testing.assert_array_equal(table(keys), np.searchsorted(cdf, keys, side="right"))
+
+
 def test_polygon_sampler_squares_means():
     rng = np.random.default_rng(99)
     pts = sample_uniform_polygon(square(0.5), rng, size=100_000)
@@ -225,19 +249,66 @@ STAR = SimplePolygon.from_vertices([
 ])
 
 
-@pytest.mark.parametrize("region_a, region_b", [
-    (RIGHT, RIGHT),
-    (RIGHT, Triangle.from_vertices((3.0, 0.0), (4.1, 0.3), (3.3, 1.7))),
-    (STAR, STAR),
-    (HollowRegion(square(0.5), square(0.3, center=(0.05, -0.02))),) * 2,
-    (HollowRegion(STAR, Disk((0.0, 0.0), 0.3)),) * 2,
-], ids=["triangle", "triangle-pair", "star", "polygon-hole", "disk-hole"])
-def test_pdd_mc_draws_match_reference_formulas(region_a, region_b):
-    # three batches (9000 does not divide 20000), the first two spanning a
-    # block edge of the point map
-    cfg = SampleConfig(n_pairs=20_000, seed=4242, batch=9_000)
+FAR = Triangle.from_vertices((3.0, 0.0), (4.1, 0.3), (3.3, 1.7))
+POLYGON_HOLE = HollowRegion(square(0.5), square(0.3, center=(0.05, -0.02)))
+
+
+@pytest.mark.parametrize("region_a, region_b, batch", [
+    (RIGHT, RIGHT, 9_000),
+    (RIGHT, FAR, 9_000),
+    (STAR, STAR, 9_000),
+    (POLYGON_HOLE, POLYGON_HOLE, 9_000),
+    (HollowRegion(STAR, Disk((0.0, 0.0), 0.3)),) * 2 + (9_000,),
+    # each part of a batch is read from its own word offset of the stream;
+    # with 9001 pairs a batch, the parts start at 1, 2 and 3 mod 4 words
+    # (B after a triangle at 18002, a polygon's pairs at 9001 and B after
+    # it at 27003, the last batch's parts at 1998 and 5994)
+    (RIGHT, FAR, 9_001),
+    (STAR, FAR, 9_001),
+    (FAR, STAR, 9_001),
+    (STAR, FAR, 9_000),
+    (POLYGON_HOLE, FAR, 9_001),
+    (FAR, POLYGON_HOLE, 9_001),
+], ids=["triangle", "triangle-pair", "star", "polygon-hole", "disk-hole",
+        "triangle-pair-9001", "star-triangle-9001", "triangle-star-9001",
+        "star-triangle", "polygon-hole-triangle-9001", "triangle-polygon-hole-9001"])
+def test_pdd_mc_draws_match_reference_formulas(region_a, region_b, batch):
+    # three batches (neither 9000 nor 9001 divides 20000), the first two
+    # spanning a block edge of the point map
+    cfg = SampleConfig(n_pairs=20_000, seed=4242, batch=batch)
     got = pdd_mc(region_a, region_b, cfg).samples
     np.testing.assert_array_equal(got, _reference_pdd_mc(region_a, region_b, cfg))
+
+
+def test_stream_parts_start_at_any_word_offset():
+    from polydist.mc_oracle import _part
+
+    key = np.array([99, 5], dtype=np.uint64)
+    whole = np.random.Generator(np.random.Philox(key=key)).random(2_000)
+    for offset in (0, 1, 2, 3, 4, 5, 400, 401, 402, 403, 1_001):
+        np.testing.assert_array_equal(_part(99, 5, offset).random(300),
+                                      whole[offset:offset + 300])
+
+
+def test_pdd_mc_and_ks_keep_one_n_sized_array():
+    # 200k distances take 1.6 MB; the points are drawn, mapped and
+    # differenced a block at a time, and the KS merge reads the samples in
+    # blocks, so neither call holds another n-sized array
+    tri = canonicalize_triangle(angles=np.radians([80.0, 70.0, 30.0]))
+    curve = pdf_to_cdf(within_triangle_pdf(tri, KMConfig(math.pi / 360, 1 / 400, 200)))
+    cfg = SampleConfig(n_pairs=200_000, seed=5)
+    pdd_mc(STAR, STAR, SampleConfig(n_pairs=1000, seed=5))  # warm numpy's lazy imports
+    tracemalloc.start()
+    try:
+        ecdf = pdd_mc(STAR, STAR, cfg)
+        draw_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        ks_distance(curve, ecdf)
+        ks_peak = tracemalloc.get_traced_memory()[1]  # the samples included
+    finally:
+        tracemalloc.stop()
+    assert draw_peak < 2.5e6
+    assert ks_peak < 2.5e6
 
 
 def test_pdd_mc_is_deterministic():
