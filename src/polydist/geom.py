@@ -327,9 +327,15 @@ def point_in_polygon(vertices, points) -> np.ndarray | bool:
     return bool(inside[0]) if single else inside
 
 
+def _pair_distances(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """Distances from each point of ``pa`` (..., m, 2) to each of ``pb``
+    (..., k, 2), shaped (..., m, k)."""
+    diff = pa[..., :, None, :] - pb[..., None, :, :]
+    return np.sqrt((diff * diff).sum(axis=-1))
+
+
 def _max_pair_distance(pa: np.ndarray, pb: np.ndarray) -> float:
-    diff = pa[:, None, :] - pb[None, :, :]
-    return float(np.sqrt((diff * diff).sum(axis=2)).max())
+    return float(_pair_distances(pa, pb).max())
 
 
 def hull_diameter(points) -> float:
@@ -450,6 +456,12 @@ def _overlap_area(tri_a: Triangle, tri_b: Triangle) -> float:
     return abs(_signed_area(poly))
 
 
+def _snaps(dist, scale):
+    """Which vertex distances ``dist`` of a triangle pair with feature
+    scale ``scale`` are close enough to snap the two vertices together."""
+    return dist <= EPS_SNAP * scale
+
+
 def classify_pair(tri_a: Triangle, tri_b: Triangle) -> TrianglePairSpec:
     """Classify a pair of interior-disjoint triangles.
 
@@ -459,13 +471,8 @@ def classify_pair(tri_a: Triangle, tri_b: Triangle) -> TrianglePairSpec:
     va = tri_a.vertices
     vb = np.array(tri_b.vertices)
     scale = max(_feature_scale(va), _feature_scale(vb))
-    snap = EPS_SNAP * scale
-
-    matches: list[tuple[int, int]] = []
-    for i in range(3):
-        for j in range(3):
-            if np.linalg.norm(va[i] - vb[j]) <= snap:
-                matches.append((i, j))
+    snapped = _snaps(_pair_distances(va, vb), scale)
+    matches = [(int(i), int(j)) for i, j in np.argwhere(snapped)]
     if len({i for i, _ in matches}) != len(matches) or len({j for _, j in matches}) != len(matches):
         raise GeometryError("ambiguous vertex matching between triangles")
     for i, j in matches:
@@ -509,17 +516,17 @@ def check_pairs(tris_a, tris_b) -> float:
 
     A pair is passed over when the line of an edge of one triangle has the
     other triangle on its outer side or on it, and no two of the pair's
-    vertices lie within twice the snap tolerance without coinciding.  Such
-    a pair can neither overlap nor snap, so :func:`classify_pair` would
-    accept it and measure its vertex distances unsnapped, as they are taken
-    here.  Every other pair goes through ``classify_pair``, in the order
-    of a loop over all pairs, and raises its GeometryErrors.  (A fan's
-    triangles all share a vertex, so their bounding boxes all meet; their
-    edges still separate them.)
+    vertices snap together without coinciding.  Such a pair can neither
+    overlap nor move a vertex, so :func:`classify_pair` would accept it and
+    measure the same vertex distances, which are taken here.  Every other
+    pair goes through ``classify_pair``, in the order of a loop over all
+    pairs, and raises its GeometryErrors.  (A fan's triangles all share a
+    vertex, so their bounding boxes all meet; their edges still separate
+    them.)
     """
     vb = np.stack([t.vertices for t in tris_b])  # (T_b, 3, 2), CCW
     eb = vb[:, [1, 2, 0]] - vb
-    scale_b = np.ptp(vb, axis=1).max(axis=1)
+    scale_b = np.array([_feature_scale(v) for v in vb])
     pairs, far = [], []
     for ta in tris_a:
         va = ta.vertices
@@ -528,11 +535,9 @@ def check_pairs(tris_a, tris_b) -> float:
         cut_a = _cross2(ea[None, :, None], vb[:, None] - va[None, :, None]) <= 0.0
         cut_b = _cross2(eb[:, :, None], va[None, None] - vb[:, :, None]) <= 0.0
         apart = cut_a.all(axis=2).any(axis=1) | cut_b.all(axis=2).any(axis=1)
-        # the distances _max_pair_distance takes, element for element
-        diff = va[None, :, None] - vb[:, None]
-        dist = np.sqrt((diff * diff).sum(axis=3))
-        snap = 2.0 * EPS_SNAP * np.maximum(_feature_scale(va), scale_b)
-        near = ((dist <= snap[:, None, None]) & (diff != 0.0).any(axis=3)).any(axis=(1, 2))
+        dist = _pair_distances(va, vb)  # (T_b, 3, 3)
+        scale = np.maximum(_feature_scale(va), scale_b)[:, None, None]
+        near = (_snaps(dist, scale) & (dist > 0.0)).any(axis=(1, 2))
         clear = apart & ~near
         if clear.any():
             far.append(float(dist[clear].max()))

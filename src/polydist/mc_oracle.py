@@ -7,9 +7,9 @@ are bit-identical for a given :class:`SampleConfig` no matter how the
 batches are scheduled.
 
 A point of a polygon first draws its triangle, an area-weighted index
-found by inverting the cumulative weights through a guide table; a point
-of a triangle skips that draw.  Then a unit-square pair (u, w) is folded
-into the unit triangle and mapped to v0 + u (v1 - v0) + w (v2 - v0).
+found by inverting the cumulative weights; a point of a triangle skips
+that draw.  Then a unit-square pair (u, w) is folded into the unit
+triangle and mapped to v0 + u (v1 - v0) + w (v2 - v0).
 Distances are sqrt(dx*dx + dy*dy).
 
 A batch of m pairs reads its stream in a fixed layout: region A's draws,
@@ -189,12 +189,14 @@ def _map_block(uv, cols, k=0):
     return uv
 
 
-def _fold_and_map(uv, cols, pick=None, r=None):
+def _fold_and_map(uv, cols, cdf=None, r=None):
     """Map unit-square draws ``uv`` (m, 2), in place, block by block, to
-    points of triangle 0, or of triangle ``pick(r[i])`` for row i."""
+    points of triangle 0, or of triangle ``searchsorted(cdf, r[i],
+    side="right")`` for row i."""
     for lo in range(0, len(uv), _BLOCK_ROWS):
         rows = slice(lo, lo + _BLOCK_ROWS)
-        _map_block(uv[rows], cols, 0 if pick is None else pick(r[rows]))
+        k = 0 if cdf is None else np.searchsorted(cdf, r[rows], side="right")
+        _map_block(uv[rows], cols, k)
     return uv
 
 
@@ -224,32 +226,6 @@ class _TriangleDraws:
         return (_map_block(uv, self.cols) for uv in pairs), offset + self.words * size
 
 
-class _GuideTable:
-    """``searchsorted(cdf, r, side="right")`` for keys r in [0, 1), read
-    off a guide table (Chen & Asau, 1974) of increasing ``cdf`` ending at 1.
-
-    [0, 1) is cut into 2^k >= 4T buckets, so r * buckets and the bucket
-    edges are exact.  A key in a bucket with no ``cdf`` value strictly
-    inside takes the bucket's index outright; only keys in the other
-    buckets, at most T - 1 of them, are searched.
-    """
-
-    def __init__(self, cdf: np.ndarray):
-        self.cdf = cdf
-        self.buckets = max(64, 1 << (4 * len(cdf) - 1).bit_length())
-        edges = np.arange(self.buckets + 1) / self.buckets
-        self.index = np.searchsorted(cdf, edges[:-1], side="right")
-        self.crowded = np.searchsorted(cdf, edges[1:], side="left") > self.index
-
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        b = (r * self.buckets).astype(np.intp)
-        k = self.index[b]
-        search = self.crowded[b]
-        if search.any():
-            k[search] = np.searchsorted(self.cdf, r[search], side="right")
-        return k
-
-
 class _FanDraws:
     """Uniform points of a simple polygon via area-weighted triangles; the
     polygon is triangulated once, here.
@@ -265,14 +241,13 @@ class _FanDraws:
         tris = triangulate(poly)
         areas = np.array([t.area for t in tris])
         cdf = np.cumsum(areas / areas.sum())
-        cdf /= cdf[-1]
-        self.pick = _GuideTable(cdf)
+        self.cdf = cdf / cdf[-1]
         self.cols = _affine_columns(*(np.stack([t.vertices[k] for t in tris])
                                       for k in range(3)))
 
     def __call__(self, rng: np.random.Generator, size: int) -> np.ndarray:
         r = rng.random(size)  # the stream gives the triangle draws first
-        return _fold_and_map(rng.random((size, 2)), self.cols, self.pick, r)
+        return _fold_and_map(rng.random((size, 2)), self.cols, self.cdf, r)
 
     def batch(self, seed: int, index: int, offset: int, size: int):
         """Blocks of ``size`` points drawn from word ``offset`` of
@@ -280,7 +255,8 @@ class _FanDraws:
         indices are read from ``offset`` on, the pairs from ``offset + size``."""
         keys = _read_blocks(_part(seed, index, offset), size, 1)
         pairs = _read_blocks(_part(seed, index, offset + size), size, 2)
-        blocks = (_map_block(uv, self.cols, self.pick(r[:, 0])) for r, uv in zip(keys, pairs))
+        blocks = (_map_block(uv, self.cols, np.searchsorted(self.cdf, r[:, 0], side="right"))
+                  for r, uv in zip(keys, pairs))
         return blocks, offset + self.words * size
 
 

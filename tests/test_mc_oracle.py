@@ -174,29 +174,6 @@ def test_samplers_across_block_boundaries():
         assert inside.all()
 
 
-@pytest.mark.parametrize("cdf", [
-    [1.0],
-    [0.25, 0.5, 0.75, 1.0],  # every value on a bucket edge
-    [0.1, 0.1, 0.6, 0.6, 1.0, 1.0],  # repeated values
-    list(np.linspace(0.3, 0.3 + 1e-6, 50)) + [1.0],  # 50 values in one bucket
-    list(np.cumsum(np.full(198, 1.0 / 198))),
-], ids=["one-triangle", "bucket-edges", "repeats", "crowded-bucket", "even-198"])
-def test_guide_table_matches_searchsorted(cdf):
-    from polydist.mc_oracle import _GuideTable
-
-    cdf = np.asarray(cdf)
-    cdf /= cdf[-1]
-    table = _GuideTable(cdf)
-    edges = np.arange(table.buckets) / table.buckets
-    keys = np.concatenate([
-        cdf[cdf < 1.0], edges, np.random.default_rng(7).random(20_000),
-        [0.0, np.nextafter(1.0, 0.0)],
-    ])
-    keys = np.concatenate([keys, np.nextafter(keys, 0.0), np.nextafter(keys, 1.0)])
-    keys = keys[(keys >= 0.0) & (keys < 1.0)]
-    np.testing.assert_array_equal(table(keys), np.searchsorted(cdf, keys, side="right"))
-
-
 def test_polygon_sampler_squares_means():
     rng = np.random.default_rng(99)
     pts = sample_uniform_polygon(square(0.5), rng, size=100_000)
