@@ -4,17 +4,18 @@ A polygon's distance curve is one sweep over its edges, and the curve
 between two triangulated regions one sweep between their triangles'
 loops.  A ring (outer minus hole) takes one sweep over its loops, which
 bins each edge pair once by class (outer-outer, hole-hole, outer-hole) and
-gives the outer, hole and hole-to-ring curves; the area-weighted identity
-of the outer = hole + ring split is solved for the ring-only curve.  The
-scaling law maps any normalized curve to an arbitrary size.
+gives the outer, hole, hole-to-ring and ring-only curves.  The scaling law
+maps any normalized curve to an arbitrary size.
 
-The paper's decomposition stays as the cross-check route
-(``RegionPartition``): a triangulated region's curve is the
-probabilistic sum over all ordered triangle pairs,
+The paper's decompositions stay as cross-check routes.  A triangulated
+region's curve is the probabilistic sum over all ordered triangle pairs
+(``RegionPartition``),
 
     F = sum_i sum_j (S_i * S_j / S**2) * F_ij,
 
-with F_ii the within-triangle and F_ij the cross-pair curves.
+with F_ii the within-triangle and F_ij the cross-pair curves; and the
+ring-only curve solved from the area-weighted identity of the outer =
+hole + ring split checks the swept one (``ring_pdd``).
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ __all__ = [
     "scale_curve",
 ]
 
-# ring solve: tolerated monotonicity/range defect of the solved CDF
+# ring solve: tolerated gap between the solved and the swept ring CDF
 RING_SOLVE_TOL = 5e-3
 
 
@@ -237,33 +238,24 @@ class RingSpec:
         return self.outer.area - self.hole.area
 
 
-def _clean_solved_cdf(raw: np.ndarray, d_max: float, meta: dict) -> CdfCurve:
-    """Validate a CDF obtained algebraically, then clamp it into shape."""
-    defect = max(
-        float(-raw.min()),
-        float(raw.max() - 1.0),
-        float(np.maximum(0.0, -np.diff(raw)).max()) if len(raw) > 1 else 0.0,
-    )
-    if defect > RING_SOLVE_TOL:
-        raise DiagnosticError(
-            f"solved ring CDF defect {defect:.2e} exceeds {RING_SOLVE_TOL}; "
-            "inputs inconsistent or resolution too coarse"
-        )
-    cleaned = np.maximum.accumulate(np.clip(raw, 0.0, 1.0))
-    meta = dict(meta, raw_values=raw, solve_defect=defect)
-    return CdfCurve(d_max, cleaned, meta)
-
-
 def ring_pdd(ring: RingSpec, cfg: KMConfig | None = None) -> dict[str, CdfCurve]:
     """All six distance CDFs of an outer/hole/ring decomposition.
 
     Returns {"F11", "F22", "F23", "F33", "F12", "F13"} where index 1 is
     the full outer region, 2 the hole, and 3 the ring; Fxy is the CDF of
     the distance between a uniform point of region x and one of region y.
-    F11, F22 and F23 come from one sweep over the ring's loops
-    (``sweep_ring``), and F33 is solved from the area-weighted sum
+    F11, F22, F23 and F33 come from one sweep over the ring's loops
+    (``sweep_ring``), F22 resampled from the hole's own grid, and F12 and
+    F13 are their area mixtures.
 
-        S1^2 F11 = S2^2 F22 + 2 S2 S3 F23 + S3^2 F33.
+    The paper's route solves the area-weighted identity
+
+        S1^2 F11 = S2^2 F22 + 2 S2 S3 F23 + S3^2 F33
+
+    for F33.  That solved curve is the check on the swept one: it is kept
+    in F33's ``meta["raw_values"]``, its largest gap to F33 in
+    ``meta["solve_defect"]``, and a gap beyond RING_SOLVE_TOL raises
+    ``DiagnosticError``.
     """
     cfg = cfg or KMConfig()
     s1 = ring.outer_area
@@ -272,43 +264,36 @@ def ring_pdd(ring: RingSpec, cfg: KMConfig | None = None) -> dict[str, CdfCurve]
     d_max = ring.outer.diameter
     grid = np.linspace(0.0, d_max, cfg.grid_points + 1)
 
-    # one sweep bins every edge pair once, so the three curves share their
-    # orientation nodes and pair terms and the discretization errors
-    # largely cancel in the solve for F33
-    pdf11, pdf22, pdf23 = sweep_ring(PolygonSource(ring.outer.vertices, ring.hole.vertices),
-                                     s1, s2, d_max, ring.hole.diameter, cfg)
-    f11_vals, f22_vals, f23_vals = (
-        _resample_cdf_values(grid, pdf_to_cdf(pdf)) for pdf in (pdf11, pdf22, pdf23))
-    f11_pdf, f22_pdf, f23_pdf = (
-        _resample_pdf(pdf, d_max, cfg.grid_points) for pdf in (pdf11, pdf22, pdf23))
+    pdf11, pdf22, pdf23, pdf33 = sweep_ring(
+        PolygonSource(ring.outer.vertices, ring.hole.vertices),
+        s1, s2, d_max, ring.hole.diameter, cfg)
+    f11_vals, f23_vals, f33_vals = (pdf_to_cdf(pdf).values for pdf in (pdf11, pdf23, pdf33))
+    f22_vals = _resample_cdf_values(grid, pdf_to_cdf(pdf22))
+    f22_pdf = _resample_pdf(pdf22, d_max, cfg.grid_points)
 
     raw33 = (s1 * s1 * f11_vals - s2 * s2 * f22_vals
              - 2.0 * s2 * s3 * f23_vals) / (s3 * s3)
-    pdf33 = np.maximum(
-        0.0,
-        (s1 * s1 * f11_pdf - s2 * s2 * f22_pdf - 2.0 * s2 * s3 * f23_pdf)
-        / (s3 * s3),
-    )
+    defect = float(np.max(np.abs(raw33 - f33_vals)))
+    if defect > RING_SOLVE_TOL:
+        raise DiagnosticError(
+            f"ring solve: the solved F33 is {defect:.2e} from the swept one, beyond "
+            f"{RING_SOLVE_TOL}; inputs inconsistent or resolution too coarse"
+        )
 
-    areas = {"areas": [s1, s2, s3]}
-    f33 = _clean_solved_cdf(raw33, d_max, {"region": "ring", **areas,
-                                           "pdf_values": pdf33})
-    f12_vals = (s2 / s1) * f22_vals + (s3 / s1) * f23_vals
-    f13_vals = (s2 / s1) * f23_vals + (s3 / s1) * f33.values
-    f12_pdf = (s2 / s1) * f22_pdf + (s3 / s1) * f23_pdf
-    f13_pdf = (s2 / s1) * f23_pdf + (s3 / s1) * pdf33
+    def curve(region, cdf, pdf, **check):
+        return CdfCurve(d_max, cdf, {"region": region, "areas": [s1, s2, s3],
+                                     "pdf_values": pdf, **check})
+
+    w2, w3 = s2 / s1, s3 / s1
     return {
-        "F11": CdfCurve(d_max, f11_vals, {"region": "outer", **areas,
-                                          "pdf_values": f11_pdf}),
-        "F22": CdfCurve(d_max, f22_vals, {"region": "hole", **areas,
-                                          "pdf_values": f22_pdf}),
-        "F23": CdfCurve(d_max, f23_vals, {"region": "hole-ring", **areas,
-                                          "pdf_values": f23_pdf}),
-        "F33": f33,
-        "F12": CdfCurve(d_max, f12_vals, {"region": "outer-hole", **areas,
-                                          "pdf_values": f12_pdf}),
-        "F13": CdfCurve(d_max, f13_vals, {"region": "outer-ring", **areas,
-                                          "pdf_values": f13_pdf}),
+        "F11": curve("outer", f11_vals, pdf11.values),
+        "F22": curve("hole", f22_vals, f22_pdf),
+        "F23": curve("hole-ring", f23_vals, pdf23.values),
+        "F33": curve("ring", f33_vals, pdf33.values, raw_values=raw33, solve_defect=defect),
+        "F12": curve("outer-hole", w2 * f22_vals + w3 * f23_vals,
+                     w2 * f22_pdf + w3 * pdf23.values),
+        "F13": curve("outer-ring", w2 * f23_vals + w3 * f33_vals,
+                     w2 * pdf23.values + w3 * pdf33.values),
     }
 
 

@@ -16,10 +16,12 @@ and their n/2 to the perimeter P (Crofton), so the densities are
 
 A region with holes splits its pair sum by class: outer-outer OO,
 hole-hole HH and outer-hole OH pairs, with the perimeter split as P_O and
-P_H.  One sweep then gives three curves: the outer boundary's region
-(OO, P_O), the holes (HH, P_H), and holes to ring, whose pair sum
+P_H.  One sweep then gives four curves: the outer boundary's region
+(OO, P_O), the holes (HH, P_H), holes to ring, whose pair sum
 2 P_H d - 2 HH - OH pairs each hole edge with itself reversed, with the
-other hole edges and with the outer edges (``sweep_ring``).
+other hole edges and with the outer edges, and the ring itself, whose
+pair sum is all three classes and whose perimeter is P_O + P_H
+(``sweep_ring``).
 
 Loops are oriented with the interior on their left (outer boundaries
 counter-clockwise, holes clockwise), so at one orientation an edge keeps
@@ -65,8 +67,8 @@ class KMConfig:
               orientations, placed by a 4-point Gauss-Legendre rule on
               ceil(n/4) equal cells of [0, pi).
     d_p       unused: the sweep integrates offsets exactly.  Still
-              accepted and validated, because perfbench/ builds
-              KMConfig(d_p=...).
+              accepted and validated, because acceptance test 7 passes
+              it positionally and test 8 reads ``default.d_p``.
     grid_points  number N of grid cells; curves carry N+1 samples at
               d_k = k * d_max / N.
     """
@@ -534,9 +536,14 @@ def sweep_within(source, area: float, d_max: float, cfg: KMConfig,
     """
     edges = _edges(source)
     (sums,), perimeter, counts = _pair_sums(edges, len(edges[0]), d_max, cfg)
-    grid = _grid(d_max, cfg.grid_points)
-    values = (2.0 * grid / (area * area)) * (math.pi * area - perimeter * grid + sums)
-    return DensityCurve(d_max, values, dict(meta or {}, **counts))
+    return DensityCurve(d_max, _within(area, perimeter, sums, d_max),
+                        dict(meta or {}, **counts))
+
+
+def _within(area: float, perimeter: float, sums: np.ndarray, d_max: float) -> np.ndarray:
+    """Density (2d/S^2) (pi S - P d + pair sum) at the nodes over [0, d_max]."""
+    grid = _grid(d_max, len(sums) - 1)
+    return (2.0 * grid / (area * area)) * (math.pi * area - perimeter * grid + sums)
 
 
 def sweep_between(source_a, area_a: float, source_b, area_b: float,
@@ -552,8 +559,8 @@ def sweep_between(source_a, area_a: float, source_b, area_b: float,
 
 
 def sweep_ring(source, area_outer: float, area_holes: float, d_max: float,
-               holes_d_max: float, cfg: KMConfig,
-               meta: dict | None = None) -> tuple[DensityCurve, DensityCurve, DensityCurve]:
+               holes_d_max: float, cfg: KMConfig, meta: dict | None = None
+               ) -> tuple[DensityCurve, DensityCurve, DensityCurve, DensityCurve]:
     """Distance densities of a region with holes, from one sweep of its loops.
 
     ``source`` is a ``PolygonSource(outer, *holes)``: the outer loop bounds
@@ -566,12 +573,15 @@ def sweep_ring(source, area_outer: float, area_holes: float, d_max: float,
         within the outer region    (2d/S1^2) (pi S1 - P_O d + OO)
         within the holes           (2d/S2^2) (pi S2 - P_H d + HH)
         between holes and ring     (d/(S2 S3)) (2 P_H d - 2 HH - OH)
+        within the ring            (2d/S3^2) (pi S3 - (P_O + P_H) d + OO + OH + HH)
 
     the second on the grid over [0, holes_d_max], where HH is binned a
     second time.  The third is the pair sum between the holes, listed
     counter-clockwise, and the ring: a hole edge against its own reversed
     copy gives 2 P_H d, against the other hole edges -2 HH, and against
-    the outer edges -OH.  ``meta`` is extended as in ``sweep_within``.
+    the outer edges -OH.  The fourth is ``sweep_within`` of the whole
+    source, its pair sum split by class.  ``meta`` is extended as in
+    ``sweep_within``.
     """
     edges = _edges(source)
     holes = (np.arange(len(edges[0])) >= len(source.loops[0])).astype(np.intp)
@@ -580,15 +590,12 @@ def sweep_ring(source, area_outer: float, area_holes: float, d_max: float,
     s1, s2 = area_outer, area_holes
     s3 = s1 - s2
     grid = _grid(d_max, cfg.grid_points)
-    grid_h = _grid(holes_d_max, cfg.grid_points)
     meta = dict(meta or {}, **counts)
     return (
-        DensityCurve(d_max, (2.0 * grid / (s1 * s1)) * (math.pi * s1 - p_o * grid + oo),
-                     dict(meta)),
-        DensityCurve(holes_d_max,
-                     (2.0 * grid_h / (s2 * s2)) * (math.pi * s2 - p_h * grid_h + hh_own),
-                     dict(meta)),
-        DensityCurve(d_max, (grid / (s2 * s3)) * (2.0 * p_h * grid - 2.0 * hh - oh), meta),
+        DensityCurve(d_max, _within(s1, p_o, oo, d_max), dict(meta)),
+        DensityCurve(holes_d_max, _within(s2, p_h, hh_own, holes_d_max), dict(meta)),
+        DensityCurve(d_max, (grid / (s2 * s3)) * (2.0 * p_h * grid - 2.0 * hh - oh), dict(meta)),
+        DensityCurve(d_max, _within(s3, p_o + p_h, oo + oh + hh, d_max), meta),
     )
 
 

@@ -23,8 +23,9 @@ block of A's points and the matching block of B's, maps both, and writes
 their distances straight into the output, so only the n distances
 outlive a block.  A region with a hole is the exception.  It drops the
 outer points that fall in the hole and redraws, so the words it takes
-are known only when its retries end; it draws its batch whole, and the
-other region's parts start where it stopped.
+are known only when its retries end.  It keeps its batch's points in
+one array, filled block by block as each block is mapped and tested
+against the hole, and the other region's parts start where it stopped.
 
 Every seeded draw, and so every seeded output, is bit for bit what
 ``Generator.choice(p=...)``, a boolean-mask fold, one broadcast map,
@@ -265,7 +266,10 @@ class _HollowDraws:
     in the hole are dropped and each retry draws only those still missing.
 
     How many words a batch takes is known only once its retries end, so a
-    batch is drawn whole before its points are handed out in blocks.
+    batch's points are all kept before they are handed out in blocks.  A
+    retry reads its triangle keys whole, then its unit-square pairs block
+    by block; each block is mapped, tested against the hole, and its kept
+    rows are copied into the batch's one (size, 2) array.
     """
 
     def __init__(self, region: HollowRegion):
@@ -273,12 +277,18 @@ class _HollowDraws:
 
     def draw(self, rng: np.random.Generator, size: int):
         """``size`` points and the number of words they took."""
-        out, words = np.empty((0, 2)), 0
-        while len(out) < size:
-            missing = size - len(out)
-            cand = self.outer(rng, missing)
+        out, kept, words = np.empty((size, 2)), 0, 0
+        cdf, cols = self.outer.cdf, self.outer.cols
+        while kept < size:
+            missing = size - kept
+            keys = rng.random(missing)  # the stream gives the triangle draws first
             words += self.outer.words * missing
-            out = np.vstack([out, cand[~self.in_hole(cand)]])
+            for lo, uv in zip(range(0, missing, _BLOCK_ROWS), _read_blocks(rng, missing, 2)):
+                k = np.searchsorted(cdf, keys[lo:lo + _BLOCK_ROWS], side="right")
+                pts = _map_block(uv, cols, k)
+                pts = pts[~self.in_hole(pts)]
+                out[kept:kept + len(pts)] = pts
+                kept += len(pts)
         return out, words
 
     def __call__(self, rng: np.random.Generator, size: int) -> np.ndarray:

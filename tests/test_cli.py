@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polydist import KMConfig, pdf_to_cdf, within_triangle_pdf, canonicalize_triangle
-from polydist import cli
+from polydist import (KMConfig, RingSpec, pdf_to_cdf, ring_pdd, within_triangle_pdf,
+                      canonicalize_triangle)
+from polydist import cli, compose
 from polydist.cli import main
 from polydist.km_engine import DiagnosticError
 
@@ -247,6 +248,23 @@ def test_diagnostic_failures_exit_three(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "polygon_pdd", explode)
     assert main(["polygon", "--geometry", geom, *FAST_FLAGS]) == 3
     assert "diagnostic" in capsys.readouterr().err
+
+
+def test_ring_solve_gap_exits_three(tmp_path, monkeypatch, capsys):
+    # the solved F33 checks the swept one; a gap beyond the tolerance fails
+    # the ring and writes no curve
+    monkeypatch.setattr(compose, "RING_SOLVE_TOL", 1e-12)
+    with pytest.raises(DiagnosticError, match="ring solve"):
+        ring_pdd(RingSpec(square(0.5), square(0.3)), KMConfig(math.pi / 180, grid_points=100))
+    outer = write_geometry(tmp_path / "outer.json",
+                           {"vertices": square(0.5).vertices.tolist()})
+    hole = write_geometry(tmp_path / "hole.json",
+                          {"vertices": square(0.3).vertices.tolist()})
+    out_dir = tmp_path / "curves"
+    assert main(["ring", "--outer", outer, "--hole", hole, *FAST_FLAGS,
+                 "--out", str(out_dir)]) == 3
+    assert "diagnostic failure: ring solve" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_closed_form_breakdown_exits_three(tmp_path, capsys):

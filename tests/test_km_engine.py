@@ -243,7 +243,8 @@ def test_difference_source_matches_triangulated_ring():
 
 def test_ring_sweep_of_two_holes_matches_three_sweeps():
     # one sweep of an outer loop and two holes: within the outer region,
-    # within the holes (their union, on its own grid) and between holes and ring
+    # within the holes (their union, on its own grid), between holes and
+    # ring, and within the ring
     outer = square(0.5)
     holes = [square(0.15, center=(-0.25, 0.0)).vertices, square(0.1, center=(0.25, 0.1)).vertices]
     s1 = outer.area
@@ -255,14 +256,17 @@ def test_ring_sweep_of_two_holes_matches_three_sweeps():
         sweep_within(UnionSource(holes), s2, holes_d_max, FAST),
         sweep_between(UnionSource(holes), s2, PolygonSource(outer.vertices, *holes), s1 - s2,
                       d_max, FAST),
+        sweep_within(PolygonSource(outer.vertices, *holes), s1 - s2, d_max, FAST),
     )
+    assert len(ring) == len(separate)
     for got, want in zip(ring, separate):
         assert got.d_max == want.d_max
         np.testing.assert_allclose(got.values, want.values, rtol=0.0,
                                    atol=1e-12 * want.values.max())
         assert got.meta["orientations"] == want.meta["orientations"]
-    # each edge pair is binned once, not once per curve
-    assert ring[0].meta["pair_terms"] < sum(c.meta["pair_terms"] for c in separate)
+    # each edge pair is binned once, not once per curve: as many terms as
+    # one sweep of the ring
+    assert ring[0].meta["pair_terms"] == separate[3].meta["pair_terms"]
 
 
 # ---------------------------------------------------------------------------

@@ -270,22 +270,25 @@ def test_stream_parts_start_at_any_word_offset():
 def test_pdd_mc_and_ks_keep_one_n_sized_array():
     # 200k distances take 1.6 MB; the points are drawn, mapped and
     # differenced a block at a time, and the KS merge reads the samples in
-    # blocks, so neither call holds another n-sized array
+    # blocks, so neither call holds another n-sized array.  A region with a
+    # hole keeps each batch's points (3.2 MB a region) and one retry's
+    # triangle keys (1.6 MB), and tests the hole a block at a time.
     tri = canonicalize_triangle(angles=np.radians([80.0, 70.0, 30.0]))
     curve = pdf_to_cdf(within_triangle_pdf(tri, KMConfig(math.pi / 360, 1 / 400, 200)))
     cfg = SampleConfig(n_pairs=200_000, seed=5)
-    pdd_mc(STAR, STAR, SampleConfig(n_pairs=1000, seed=5))  # warm numpy's lazy imports
-    tracemalloc.start()
-    try:
-        ecdf = pdd_mc(STAR, STAR, cfg)
-        draw_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        ks_distance(curve, ecdf)
-        ks_peak = tracemalloc.get_traced_memory()[1]  # the samples included
-    finally:
-        tracemalloc.stop()
-    assert draw_peak < 2.5e6
-    assert ks_peak < 2.5e6
+    for region, draw_max in ((STAR, 2.5e6), (POLYGON_HOLE, 12e6)):
+        pdd_mc(region, region, SampleConfig(n_pairs=1000, seed=5))  # warm numpy's lazy imports
+        tracemalloc.start()
+        try:
+            ecdf = pdd_mc(region, region, cfg)
+            draw_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            ks_distance(curve, ecdf)
+            ks_peak = tracemalloc.get_traced_memory()[1]  # the samples included
+        finally:
+            tracemalloc.stop()
+        assert draw_peak < draw_max
+        assert ks_peak < 2.5e6
 
 
 def test_pdd_mc_is_deterministic():
