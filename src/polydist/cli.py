@@ -116,23 +116,20 @@ class JobSpec:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    # 17 significant digits round-trip any float64 exactly
-    return format(float(x), ".17g")
+def _columns(*columns) -> list[list[float]]:
+    """Each column as a list of Python floats, one ``tolist`` a column."""
+    return [np.asarray(c, dtype=float).tolist() for c in columns]
 
 
 def render_csv(grid, pdf, cdf) -> str:
-    lines = ["d,pdf,cdf"]
-    for d, f, big_f in zip(grid, pdf, cdf):
-        lines.append(f"{_fmt(d)},{_fmt(f)},{_fmt(big_f)}")
-    return "\n".join(lines) + "\n"
+    # 17 significant digits round-trip any float64 exactly
+    rows = zip(*_columns(grid, pdf, cdf))
+    return "d,pdf,cdf\n" + "".join(["%.17g,%.17g,%.17g\n" % row for row in rows])
 
 
 def render_json(grid, pdf, cdf, meta: dict) -> str:
     payload = dict(meta)
-    payload["d"] = [float(x) for x in grid]
-    payload["pdf"] = [float(x) for x in pdf]
-    payload["cdf"] = [float(x) for x in cdf]
+    payload["d"], payload["pdf"], payload["cdf"] = _columns(grid, pdf, cdf)
     return json.dumps(payload, indent=2) + "\n"
 
 

@@ -8,9 +8,13 @@ batches are scheduled.
 
 A point of a polygon first draws its triangle, an area-weighted index
 found by inverting the cumulative weights; a point of a triangle skips
-that draw.  Then a unit-square pair (u, w) is folded into the unit
-triangle and mapped to v0 + u (v1 - v0) + w (v2 - v0).
-Distances are sqrt(dx*dx + dy*dy).
+that draw.  The inversion reads a guide table built once per polygon: a
+key starts at its bucket's entry and steps past the few weights left in
+that bucket, so no key is searched for.  Then a unit-square pair (u, w)
+is folded into the unit triangle without a mask, as |over - u| and
+|over - w| with ``over`` 1.0 where u + w > 1 and 0.0 elsewhere, and
+mapped to v0 + u (v1 - v0) + w (v2 - v0).  Distances are
+sqrt(dx*dx + dy*dy).
 
 A batch of m pairs reads its stream in a fixed layout: region A's draws,
 then B's, and a polygon's m triangle draws before its m pairs (u, w).
@@ -167,17 +171,55 @@ def _affine_columns(v0, v1, v2):
     return tuple(np.atleast_2d(a).T for a in (v0, v1 - v0, v2 - v0))
 
 
+class _TriangleIndex:
+    """Area-weighted triangle indices, exact and found without a search.
+
+    For ``weights`` (one per triangle, T in all) the index of a key r in
+    [0, 1) is ``searchsorted(cdf, r, side="right")``, with ``cdf`` the
+    cumulative weights formed and normalized as ``Generator.choice(p=...)``
+    forms them, so that ``cdf[-1] = 1.0``.  It is read off a guide table
+    (Chen & Asau, 1974) built once, here.
+
+    [0, 1) is cut into B = 2^j >= 4T buckets, so r B is exact and its floor
+    is r's bucket b.  ``guide[b]`` counts the ``cdf`` values <= b / B, so
+    every key of bucket b starts there, and each round ``k += cdf[k] <= r``
+    moves a key on by one until it passes every value <= r; ``cdf[k] > r``
+    then holds, since ``cdf[-1] = 1.0 > r``, and the key stays.  A key
+    needs as many rounds as its bucket has ``cdf`` values strictly inside,
+    so ``rounds`` is the most any bucket has: no pass searches, masks or
+    checks whether a key still moves.
+    """
+
+    def __init__(self, weights: np.ndarray):
+        cdf = np.cumsum(weights / weights.sum())
+        self.cdf = cdf = cdf / cdf[-1]
+        self.buckets = 1 << (4 * len(cdf) - 1).bit_length()
+        edges = np.arange(self.buckets + 1) / self.buckets
+        self.guide = np.searchsorted(cdf, edges[:-1], side="right")
+        inside = np.searchsorted(cdf, edges[1:], side="left") - self.guide
+        self.rounds = int(inside.max())
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        k = self.guide[(r * self.buckets).astype(np.intp)]
+        for _ in range(self.rounds):
+            k += self.cdf[k] <= r
+        return k
+
+
 def _map_block(uv, cols, k=0):
     """Map unit-square draws ``uv`` (m, 2), in place, to points of triangles.
 
     Each row (u, w) is folded into the unit triangle (reflected through
     (1/2, 1/2) when u + w > 1) and mapped to (o + u e1) + w e2 of triangle
     ``k`` (one index per row, or one for all) among the (2, T) affine
-    columns ``cols``.
+    columns ``cols``.  The fold takes no mask: with ``over`` 1.0 where
+    u + w > 1 and 0.0 elsewhere, u' = |over - u| is 1 - u (> 0, as u < 1)
+    where the row reflects and |-u| = u where it does not, the bits of a
+    masked 1 - u; likewise for w.
     """
-    over = uv[:, 0] + uv[:, 1] > 1.0
-    np.subtract(1.0, uv, out=uv, where=over[:, None])
-    u, w = uv[:, 0], uv[:, 1]
+    over = (uv[:, 0] + uv[:, 1] > 1.0).astype(float)
+    u = np.abs(over - uv[:, 0])
+    w = np.abs(np.subtract(over, uv[:, 1], out=over), out=over)
     o, e1, e2 = cols
     xy = []
     for c in range(2):
@@ -190,14 +232,12 @@ def _map_block(uv, cols, k=0):
     return uv
 
 
-def _fold_and_map(uv, cols, cdf=None, r=None):
+def _fold_and_map(uv, cols, index=None, r=None):
     """Map unit-square draws ``uv`` (m, 2), in place, block by block, to
-    points of triangle 0, or of triangle ``searchsorted(cdf, r[i],
-    side="right")`` for row i."""
+    points of triangle 0, or of triangle ``index(r[i])`` for row i."""
     for lo in range(0, len(uv), _BLOCK_ROWS):
         rows = slice(lo, lo + _BLOCK_ROWS)
-        k = 0 if cdf is None else np.searchsorted(cdf, r[rows], side="right")
-        _map_block(uv[rows], cols, k)
+        _map_block(uv[rows], cols, 0 if index is None else index(r[rows]))
     return uv
 
 
@@ -233,22 +273,21 @@ class _FanDraws:
 
     A batch of points draws all its triangle indices first, by inverting
     the cumulative area weights as ``Generator.choice(p=weights)`` does,
-    and then its unit-square pairs.
+    and then its unit-square pairs.  The inversion is a guide table
+    (:class:`_TriangleIndex`), built here with the triangulation.
     """
 
     words = 3  # stream words a point takes
 
     def __init__(self, poly: SimplePolygon):
         tris = triangulate(poly)
-        areas = np.array([t.area for t in tris])
-        cdf = np.cumsum(areas / areas.sum())
-        self.cdf = cdf / cdf[-1]
+        self.index = _TriangleIndex(np.array([t.area for t in tris]))
         self.cols = _affine_columns(*(np.stack([t.vertices[k] for t in tris])
                                       for k in range(3)))
 
     def __call__(self, rng: np.random.Generator, size: int) -> np.ndarray:
         r = rng.random(size)  # the stream gives the triangle draws first
-        return _fold_and_map(rng.random((size, 2)), self.cols, self.cdf, r)
+        return _fold_and_map(rng.random((size, 2)), self.cols, self.index, r)
 
     def batch(self, seed: int, index: int, offset: int, size: int):
         """Blocks of ``size`` points drawn from word ``offset`` of
@@ -256,8 +295,7 @@ class _FanDraws:
         indices are read from ``offset`` on, the pairs from ``offset + size``."""
         keys = _read_blocks(_part(seed, index, offset), size, 1)
         pairs = _read_blocks(_part(seed, index, offset + size), size, 2)
-        blocks = (_map_block(uv, self.cols, np.searchsorted(self.cdf, r[:, 0], side="right"))
-                  for r, uv in zip(keys, pairs))
+        blocks = (_map_block(uv, self.cols, self.index(r[:, 0])) for r, uv in zip(keys, pairs))
         return blocks, offset + self.words * size
 
 
@@ -278,14 +316,13 @@ class _HollowDraws:
     def draw(self, rng: np.random.Generator, size: int):
         """``size`` points and the number of words they took."""
         out, kept, words = np.empty((size, 2)), 0, 0
-        cdf, cols = self.outer.cdf, self.outer.cols
+        index, cols = self.outer.index, self.outer.cols
         while kept < size:
             missing = size - kept
             keys = rng.random(missing)  # the stream gives the triangle draws first
             words += self.outer.words * missing
             for lo, uv in zip(range(0, missing, _BLOCK_ROWS), _read_blocks(rng, missing, 2)):
-                k = np.searchsorted(cdf, keys[lo:lo + _BLOCK_ROWS], side="right")
-                pts = _map_block(uv, cols, k)
+                pts = _map_block(uv, cols, index(keys[lo:lo + _BLOCK_ROWS]))
                 pts = pts[~self.in_hole(pts)]
                 out[kept:kept + len(pts)] = pts
                 kept += len(pts)

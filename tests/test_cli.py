@@ -68,6 +68,21 @@ def test_triangle_km_csv_round_trips_exactly(tmp_path):
     np.testing.assert_array_equal(table[:, 2], cdf.values)
 
 
+def test_render_matches_per_value_format():
+    # one "%.17g" row format must give the bytes of formatting each value
+    # on its own; json keeps each float's repr, the sign of -0.0 included
+    edge = [-0.0, 5e-324, 1e308, 0.1 + 0.2, 0.0, 1.0, -2.5e-7]
+    grid, pdf, cdf = np.array(edge), np.array(edge[::-1]), edge[3:] + edge[:3]
+    rows = "".join(",".join(format(x, ".17g") for x in row) + "\n"
+                   for row in zip(grid, pdf, cdf))
+    assert cli.render_csv(grid, pdf, cdf).encode() == ("d,pdf,cdf\n" + rows).encode()
+    assert cli.render_csv([], [], []) == "d,pdf,cdf\n"
+    payload = json.loads(cli.render_json(grid, pdf, cdf, {"tool": "polydist"}))
+    for name, column in (("d", grid), ("pdf", pdf), ("cdf", cdf)):
+        assert [repr(x) for x in payload[name]] == [repr(float(x)) for x in column]
+    assert payload["tool"] == "polydist"
+
+
 def test_triangle_scale_flag(tmp_path):
     out = tmp_path / "tri.csv"
     assert main(["triangle", "--angles", "60,60,60", "--scale", "2.5",

@@ -1,7 +1,9 @@
 """Tests for the sampling oracle and the CDF distance."""
 
+import importlib.util
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,12 @@ from polydist import (
     within_triangle_pdf,
 )
 from polydist.geom import Disk, GeometryError
-from polydist.mc_oracle import _BLOCK_ROWS, sample_uniform_polygon, sample_uniform_triangle
+from polydist.mc_oracle import (
+    _BLOCK_ROWS,
+    _TriangleIndex,
+    sample_uniform_polygon,
+    sample_uniform_triangle,
+)
 
 from shapes import regular_polygon, square
 
@@ -172,6 +179,77 @@ def test_samplers_across_block_boundaries():
         for tri in tris:
             inside |= _barycentric_inside(tri, pts)
         assert inside.all()
+
+
+class _Rows:
+    """A stand-in generator whose ``random`` hands out the given rows."""
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, dtype=float)
+
+    def random(self, shape):
+        assert shape == self.rows.shape
+        return self.rows.copy()
+
+
+def test_fold_matches_boolean_mask_fold_bit_for_bit():
+    # on the right triangle the map is the identity, so the points are the
+    # folded rows themselves, compared as bits (a -0.0 would show)
+    eps = 2.0 ** -53
+    rows = np.array([
+        [0.25, 0.75], [0.5, 0.5],  # u + w == 1.0 exactly: not reflected
+        [0.5, 0.5 + 2 * eps],  # u + w is the next double above 1
+        [0.0, 0.3], [0.0, 1 - eps], [0.0, 0.0],  # u = 0
+        [0.7, 0.0], [1 - eps, 0.0],  # w = 0
+        [1 - eps, eps],  # sums to 1.0 exactly
+        [1 - eps, 1 - eps], [0.6, 0.7],
+    ])
+    sums = rows.sum(axis=1)
+    assert sums[0] == sums[1] == sums[8] == 1.0
+    assert sums[2] == np.nextafter(1.0, 2.0)
+    got = sample_uniform_triangle(RIGHT, _Rows(rows), len(rows))
+    ref = _reference_triangle(RIGHT.vertices, _Rows(rows), len(rows))
+    np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+    reflected = sums > 1.0
+    assert np.flatnonzero(reflected).tolist() == [2, 9, 10]
+    np.testing.assert_array_equal(got[~reflected].view(np.uint64),
+                                  rows[~reflected].view(np.uint64))
+    np.testing.assert_array_equal(got[reflected], 1.0 - rows[reflected])
+
+
+def _benchmark_star(n: int, seed: int) -> SimplePolygon:
+    """The benchmark's concave star of ``n`` vertices."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return SimplePolygon.from_vertices(workloads.star_polygon(n, np.random.default_rng(seed)))
+
+
+@pytest.mark.parametrize("weights, rounds", [
+    (np.ones(4), 0),  # cumulative values 1/4, 1/2, 3/4 on bucket edges
+    (np.ones(64), 0),
+    (np.array([0.3, 1.7, 2.0, 0.5, 1.5]), 1),
+    (np.concatenate([[0.3], np.full(60, 1e-12), [1.0]]), 61),  # 61 values in one bucket
+    ("star200", 2),
+], ids=["equal-4", "equal-64", "unequal-5", "tiny-run", "star200"])
+def test_triangle_index_matches_searchsorted(weights, rounds):
+    if isinstance(weights, str):
+        weights = np.array([t.area for t in triangulate(_benchmark_star(200, 19))])
+        assert len(weights) == 198
+    index = _TriangleIndex(weights)
+    # the cumulative weights as Generator.choice forms them
+    cdf = np.cumsum(weights / weights.sum())
+    cdf /= cdf[-1]
+    np.testing.assert_array_equal(index.cdf, cdf)
+    assert index.buckets >= 4 * len(weights)
+    assert index.rounds == rounds
+    edges = np.arange(index.buckets) / index.buckets
+    keys = np.concatenate([cdf, edges, [0.0, 1.0 - 2.0 ** -53],
+                           np.random.default_rng(7).random(20_000)])
+    keys = np.concatenate([keys, np.nextafter(keys, 0.0), np.nextafter(keys, 1.0)])
+    keys = keys[(keys >= 0.0) & (keys < 1.0)]
+    np.testing.assert_array_equal(index(keys), np.searchsorted(cdf, keys, side="right"))
 
 
 def test_polygon_sampler_squares_means():
