@@ -33,7 +33,6 @@ from .closed_form import TriangleParams, closed_form_curve
 from .compose import polygon_pdd, ring_pdd, RingSpec, scale_curve
 from .geom import (
     GeometryError,
-    SimplePolygon,
     Triangle,
     classify_pair,
     geometry_from_spec,
@@ -269,10 +268,7 @@ def _run_check(job: JobSpec) -> int:
 
 
 def _run_ring(job: JobSpec) -> int:
-    ring = RingSpec(
-        _as_polygon(geometry_from_spec(job.outer)),
-        _as_polygon(geometry_from_spec(job.hole)),
-    )
+    ring = RingSpec(geometry_from_spec(job.outer), geometry_from_spec(job.hole))
     curves = ring_pdd(ring, job.km)
     out_dir = job.out or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -289,12 +285,6 @@ def _run_ring(job: JobSpec) -> int:
         _emit(text, path)
         sys.stdout.write(f"wrote {path}\n")
     return EXIT_OK
-
-
-def _as_polygon(region) -> SimplePolygon:
-    if isinstance(region, Triangle):
-        return SimplePolygon(region.vertices)
-    return region
 
 
 def run(job: JobSpec) -> int:

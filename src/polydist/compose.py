@@ -217,8 +217,8 @@ def between_regions_pdd(part_a, part_b, cfg: KMConfig | None = None,
 class RingSpec:
     """Outer region with a strictly interior hole; the ring is the rest."""
 
-    outer: SimplePolygon
-    hole: SimplePolygon
+    outer: SimplePolygon | Triangle
+    hole: SimplePolygon | Triangle
 
     def __post_init__(self):
         check_ring(self.outer, self.hole)
@@ -261,12 +261,14 @@ def ring_pdd(ring: RingSpec, cfg: KMConfig | None = None) -> dict[str, CdfCurve]
     s1 = ring.outer_area
     s2 = ring.hole_area
     s3 = ring.ring_area
-    d_max = ring.outer.diameter
+    # one diameter formula for either loop, so a Triangle outer or hole
+    # gives the curves of the SimplePolygon with its vertices, bit for bit
+    d_max = hull_diameter(ring.outer.vertices)
     grid = np.linspace(0.0, d_max, cfg.grid_points + 1)
 
     pdf11, pdf22, pdf23, pdf33 = sweep_ring(
         PolygonSource(ring.outer.vertices, ring.hole.vertices),
-        s1, s2, d_max, ring.hole.diameter, cfg)
+        s1, s2, d_max, hull_diameter(ring.hole.vertices), cfg)
     f11_vals, f23_vals, f33_vals = (pdf_to_cdf(pdf).values for pdf in (pdf11, pdf23, pdf33))
     f22_vals = _resample_cdf_values(grid, pdf_to_cdf(pdf22))
     f22_pdf = _resample_pdf(pdf22, d_max, cfg.grid_points)

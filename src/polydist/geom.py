@@ -47,6 +47,8 @@ def _as_points(points) -> np.ndarray:
     arr = np.asarray(points, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise GeometryError(f"expected an (n, 2) array of points, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise GeometryError("points have non-finite coordinates")
     return arr
 
 

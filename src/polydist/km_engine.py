@@ -59,6 +59,13 @@ class DiagnosticError(RuntimeError):
     """A numeric self-check failed (for example, resolution too coarse)."""
 
 
+def _require_integer(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is a Python or numpy integer."""
+    # bool is an int subclass, and a float would be truncated or fail in numpy
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class KMConfig:
     """Resolution settings for the line-measure sweep.
@@ -82,6 +89,7 @@ class KMConfig:
             raise ValueError(f"d_theta must lie in (0, pi/90], got {self.d_theta}")
         if not 0.0 < self.d_p <= 1.0 / 200.0:
             raise ValueError(f"d_p must lie in (0, 1/200], got {self.d_p}")
+        _require_integer("grid_points", self.grid_points)
         if self.grid_points < 50:
             raise ValueError(f"grid_points must be >= 50, got {self.grid_points}")
 

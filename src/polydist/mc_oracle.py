@@ -6,30 +6,26 @@ counter-based Philox streams keyed by (seed, batch index), so results
 are bit-identical for a given :class:`SampleConfig` no matter how the
 batches are scheduled.
 
-A point of a polygon first draws its triangle, an area-weighted index
-found by inverting the cumulative weights; a point of a triangle skips
-that draw.  The inversion reads a guide table built once per polygon: a
-key starts at its bucket's entry and steps past the few weights left in
-that bucket, so no key is searched for.  Then a unit-square pair (u, w)
-is folded into the unit triangle without a mask, as |over - u| and
-|over - w| with ``over`` 1.0 where u + w > 1 and 0.0 elsewhere, and
-mapped to v0 + u (v1 - v0) + w (v2 - v0).  Distances are
-sqrt(dx*dx + dy*dy).
+One class, ``_Draws``, draws the points of every region: a triangle, a
+simple polygon, or a ``HollowRegion`` (an outer boundary with a polygonal
+or disk hole).  A point of any region but a bare triangle first draws its
+triangle, an area-weighted key inverted through a guide table built once
+per region.  Then a unit-square pair (u, w) is folded into the unit
+triangle without a mask and mapped to v0 + u (v1 - v0) + w (v2 - v0).  A
+hole drops the points that fall in it and redraws those still missing.
 
-A batch of m pairs reads its stream in a fixed layout: region A's draws,
-then B's, and a polygon's m triangle draws before its m pairs (u, w).
-Each double takes one 64-bit word, so every part starts at a known word
-offset: a triangle's pairs at 0; a polygon's triangle draws at 0 and its
-pairs at m; B's parts 2m (after a triangle) or 3m (after a polygon)
-further on.  ``pdd_mc`` opens one generator per part at its offset and
-works through the batch in blocks of ``_BLOCK_ROWS`` rows: it draws a
-block of A's points and the matching block of B's, maps both, and writes
-their distances straight into the output, so only the n distances
-outlive a block.  A region with a hole is the exception.  It drops the
-outer points that fall in the hole and redraws, so the words it takes
-are known only when its retries end.  It keeps its batch's points in
-one array, filled block by block as each block is mapped and tested
-against the hole, and the other region's parts start where it stopped.
+``_Draws`` reads the stream in two ways.  ``draw`` reads in order from one
+generator: a round's triangle keys whole, then its pairs block by block.
+It serves the ``sample_uniform_*`` functions and a holed region's batches.
+``batch`` serves ``pdd_mc``.  A batch of m pairs lays out its stream as
+region A's draws, then B's, and a region's m keys before its m pairs.
+Each double takes one 64-bit word, so without a hole every part starts at
+a known word offset, and ``batch`` opens one generator per part there.
+``pdd_mc`` then works in blocks of ``_BLOCK_ROWS`` rows: a block of A's
+points and the matching block of B's are mapped and differenced, and
+their distances go straight into the output.  A holed region's word count
+is known only when its retries end, so its batch is drawn whole by
+``draw`` and the other region reads on from where it stopped.
 
 Every seeded draw, and so every seeded output, is bit for bit what
 ``Generator.choice(p=...)``, a boolean-mask fold, one broadcast map,
@@ -40,12 +36,13 @@ formulation as the reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Union
 
 import numpy as np
 
 from .geom import Disk, GeometryError, SimplePolygon, Triangle, check_ring, triangulate
-from .km_engine import CdfCurve
+from .km_engine import CdfCurve, _require_integer
 
 __all__ = [
     "SampleConfig",
@@ -68,10 +65,7 @@ class SampleConfig:
 
     def __post_init__(self):
         for name in ("n_pairs", "seed", "batch"):
-            value = getattr(self, name)
-            # bool is an int subclass, and a float seed would be truncated
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _require_integer(name, getattr(self, name))
         if self.n_pairs < 1000:
             raise ValueError(f"n_pairs must be >= 1000, got {self.n_pairs}")
         if self.batch < 1:
@@ -165,12 +159,6 @@ def _part(seed: int, index: int, offset: int) -> np.random.Generator:
 _BLOCK_ROWS = 8192
 
 
-def _affine_columns(v0, v1, v2):
-    """Each triangle's map (o, e1, e2) = (v0, v1 - v0, v2 - v0), one row
-    per coordinate and one column per triangle: arrays of shape (2, T)."""
-    return tuple(np.atleast_2d(a).T for a in (v0, v1 - v0, v2 - v0))
-
-
 class _TriangleIndex:
     """Area-weighted triangle indices, exact and found without a search.
 
@@ -206,38 +194,29 @@ class _TriangleIndex:
         return k
 
 
-def _map_block(uv, cols, k=0):
+def _map_block(uv, table, k=0):
     """Map unit-square draws ``uv`` (m, 2), in place, to points of triangles.
 
     Each row (u, w) is folded into the unit triangle (reflected through
     (1/2, 1/2) when u + w > 1) and mapped to (o + u e1) + w e2 of triangle
-    ``k`` (one index per row, or one for all) among the (2, T) affine
-    columns ``cols``.  The fold takes no mask: with ``over`` 1.0 where
-    u + w > 1 and 0.0 elsewhere, u' = |over - u| is 1 - u (> 0, as u < 1)
-    where the row reflects and |-u| = u where it does not, the bits of a
-    masked 1 - u; likewise for w.
+    ``k`` (one index per row, or one for all), read from the (6, T) affine
+    ``table`` with rows o_x, o_y, e1_x, e1_y, e2_x, e2_y.  The fold takes no
+    mask: with ``over`` 1.0 where u + w > 1 and 0.0 elsewhere,
+    u' = |over - u| is 1 - u (> 0, as u < 1) where the row reflects and
+    |-u| = u where it does not, the bits of a masked 1 - u; likewise for w.
     """
     over = (uv[:, 0] + uv[:, 1] > 1.0).astype(float)
     u = np.abs(over - uv[:, 0])
     w = np.abs(np.subtract(over, uv[:, 1], out=over), out=over)
-    o, e1, e2 = cols
-    xy = []
     for c in range(2):
-        # (o + u e1) + w e2, summed in place: + and * commute bit for bit
-        p = u * e1[c][k]
-        p += o[c][k]
-        p += w * e2[c][k]
-        xy.append(p)
-    uv[:, 0], uv[:, 1] = xy
-    return uv
-
-
-def _fold_and_map(uv, cols, index=None, r=None):
-    """Map unit-square draws ``uv`` (m, 2), in place, block by block, to
-    points of triangle 0, or of triangle ``index(r[i])`` for row i."""
-    for lo in range(0, len(uv), _BLOCK_ROWS):
-        rows = slice(lo, lo + _BLOCK_ROWS)
-        _map_block(uv[rows], cols, 0 if index is None else index(r[rows]))
+        # (o + u e1) + w e2, summed in place: + and * commute bit for bit.
+        # One gather a coefficient: a (m, 6) gather of all six would be
+        # one more block-sized temporary.  u and w hold the draws now, so
+        # each coordinate goes straight back into uv.
+        p = u * table[2 + c][k]
+        p += table[c][k]
+        p += w * table[4 + c][k]
+        uv[:, c] = p
     return uv
 
 
@@ -249,118 +228,87 @@ def _read_blocks(rng: np.random.Generator, size: int, width: int):
         yield rng.random(out=buf[:size - lo])
 
 
-class _TriangleDraws:
-    """Uniform points of a triangle: one unit-square pair each."""
+class _Draws:
+    """Uniform points of a triangle, a simple polygon or a ``HollowRegion``.
 
-    words = 2  # stream words a point takes
-
-    def __init__(self, tri: Triangle):
-        self.cols = _affine_columns(*tri.vertices)
-
-    def __call__(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return _fold_and_map(rng.random((size, 2)), self.cols)
-
-    def batch(self, seed: int, index: int, offset: int, size: int):
-        """Blocks of ``size`` points drawn from word ``offset`` of
-        batch ``index``'s stream, and the word offset after them."""
-        pairs = _read_blocks(_part(seed, index, offset), size, 2)
-        return (_map_block(uv, self.cols) for uv in pairs), offset + self.words * size
-
-
-class _FanDraws:
-    """Uniform points of a simple polygon via area-weighted triangles; the
-    polygon is triangulated once, here.
-
-    A batch of points draws all its triangle indices first, by inverting
-    the cumulative area weights as ``Generator.choice(p=weights)`` does,
-    and then its unit-square pairs.  The inversion is a guide table
-    (:class:`_TriangleIndex`), built here with the triangulation.
+    The region (a hole's outer boundary) is triangulated once, here, into
+    one (6, T) affine table.  A point takes 2 stream words, a unit-square
+    pair, or 3 when an area-weighted triangle key comes first: every region
+    but a bare ``Triangle`` draws keys.  A hole drops the points that fall
+    in it, by rejection.
     """
 
-    words = 3  # stream words a point takes
+    def __init__(self, region):
+        if isinstance(region, HollowRegion):
+            outer, self.in_hole = region.outer, region.hole.contains
+        elif isinstance(region, (Triangle, SimplePolygon)):
+            outer, self.in_hole = region, None
+        else:
+            raise TypeError(f"cannot sample region of type {type(region).__name__}")
+        tris = triangulate(outer)
+        v0, v1, v2 = (np.stack([t.vertices[k] for t in tris]) for k in range(3))
+        self.table = np.concatenate([v0.T, (v1 - v0).T, (v2 - v0).T])
+        self.index = None if isinstance(region, Triangle) else \
+            _TriangleIndex(np.array([t.area for t in tris]))
+        self.words = 2 if self.index is None else 3
 
-    def __init__(self, poly: SimplePolygon):
-        tris = triangulate(poly)
-        self.index = _TriangleIndex(np.array([t.area for t in tris]))
-        self.cols = _affine_columns(*(np.stack([t.vertices[k] for t in tris])
-                                      for k in range(3)))
-
-    def __call__(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        r = rng.random(size)  # the stream gives the triangle draws first
-        return _fold_and_map(rng.random((size, 2)), self.cols, self.index, r)
-
-    def batch(self, seed: int, index: int, offset: int, size: int):
-        """Blocks of ``size`` points drawn from word ``offset`` of
-        batch ``index``'s stream, and the word offset after them: the
-        indices are read from ``offset`` on, the pairs from ``offset + size``."""
-        keys = _read_blocks(_part(seed, index, offset), size, 1)
-        pairs = _read_blocks(_part(seed, index, offset + size), size, 2)
-        blocks = (_map_block(uv, self.cols, self.index(r[:, 0])) for r, uv in zip(keys, pairs))
-        return blocks, offset + self.words * size
-
-
-class _HollowDraws:
-    """Uniform points of a region with a hole, by rejection: outer points
-    in the hole are dropped and each retry draws only those still missing.
-
-    How many words a batch takes is known only once its retries end, so a
-    batch's points are all kept before they are handed out in blocks.  A
-    retry reads its triangle keys whole, then its unit-square pairs block
-    by block; each block is mapped, tested against the hole, and its kept
-    rows are copied into the batch's one (size, 2) array.
-    """
-
-    def __init__(self, region: HollowRegion):
-        self.outer, self.in_hole = _FanDraws(region.outer), region.hole.contains
+    def _map(self, uv, keys):
+        """A block of pairs mapped in place, with its block of triangle
+        keys, or ``None`` when the region draws none.  The block's triangle
+        indices are freed on return, before the hole test allocates."""
+        return _map_block(uv, self.table, 0 if keys is None else self.index(keys))
 
     def draw(self, rng: np.random.Generator, size: int):
-        """``size`` points and the number of words they took."""
+        """``size`` points read in order from ``rng``, and the number of
+        words they took.
+
+        Each round reads its keys whole, then its pairs block by block;
+        each block is mapped, tested against the hole, and its kept rows
+        are copied out.  A retry draws only the points still missing.
+        """
         out, kept, words = np.empty((size, 2)), 0, 0
-        index, cols = self.outer.index, self.outer.cols
         while kept < size:
             missing = size - kept
-            keys = rng.random(missing)  # the stream gives the triangle draws first
-            words += self.outer.words * missing
+            keys = None if self.index is None else rng.random(missing)
+            words += self.words * missing
             for lo, uv in zip(range(0, missing, _BLOCK_ROWS), _read_blocks(rng, missing, 2)):
-                pts = _map_block(uv, cols, index(keys[lo:lo + _BLOCK_ROWS]))
-                pts = pts[~self.in_hole(pts)]
+                pts = self._map(uv, None if keys is None else keys[lo:lo + _BLOCK_ROWS])
+                if self.in_hole is not None:
+                    pts = pts[~self.in_hole(pts)]
                 out[kept:kept + len(pts)] = pts
                 kept += len(pts)
         return out, words
 
-    def __call__(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self.draw(rng, size)[0]
-
     def batch(self, seed: int, index: int, offset: int, size: int):
-        pts, words = self.draw(_part(seed, index, offset), size)
-        blocks = (pts[lo:lo + _BLOCK_ROWS] for lo in range(0, size, _BLOCK_ROWS))
-        return blocks, offset + words
+        """Blocks of ``size`` points drawn from word ``offset`` of batch
+        ``index``'s stream, and the word offset after them.
+
+        Without a hole, the keys are read from ``offset`` on and the pairs
+        from ``offset + size`` (from ``offset`` with no keys), each from its
+        own generator, a block at a time.  A hole's batch is drawn whole.
+        """
+        if self.in_hole is not None:
+            pts, words = self.draw(_part(seed, index, offset), size)
+            return (pts[lo:lo + _BLOCK_ROWS] for lo in range(0, size, _BLOCK_ROWS)), offset + words
+        pairs = _read_blocks(_part(seed, index, offset + (self.words - 2) * size), size, 2)
+        keys = repeat(None) if self.index is None else \
+            (r[:, 0] for r in _read_blocks(_part(seed, index, offset), size, 1))
+        blocks = (self._map(uv, r) for r, uv in zip(keys, pairs))
+        return blocks, offset + self.words * size
 
 
 def sample_uniform_triangle(tri: Triangle, rng: np.random.Generator,
                             size: int | None = None) -> np.ndarray:
     """Uniform points in a triangle: u,v ~ U(0,1), reflected if u+v > 1."""
-    pts = _TriangleDraws(tri)(rng, 1 if size is None else size)
+    pts = _Draws(tri).draw(rng, 1 if size is None else size)[0]
     return pts[0] if size is None else pts
 
 
 def sample_uniform_polygon(poly: SimplePolygon, rng: np.random.Generator,
                            size: int | None = None) -> np.ndarray:
     """Uniform points in a simple polygon via area-weighted triangles."""
-    pts = _FanDraws(poly)(rng, 1 if size is None else size)
+    pts = _Draws(poly).draw(rng, 1 if size is None else size)[0]
     return pts[0] if size is None else pts
-
-
-def _sampler(region):
-    """The region's draws: called as (rng, size) -> uniform points, and
-    read blockwise from a batch's stream by ``batch``."""
-    if isinstance(region, Triangle):
-        return _TriangleDraws(region)
-    if isinstance(region, SimplePolygon):
-        return _FanDraws(region)
-    if isinstance(region, HollowRegion):
-        return _HollowDraws(region)
-    raise TypeError(f"cannot sample region of type {type(region).__name__}")
 
 
 def pdd_mc(region_a, region_b, cfg: SampleConfig | None = None) -> EmpiricalCdf:
@@ -374,8 +322,8 @@ def pdd_mc(region_a, region_b, cfg: SampleConfig | None = None) -> EmpiricalCdf:
     one n-sized array, which is then sorted in place.
     """
     cfg = cfg or SampleConfig()
-    draws_a = _sampler(region_a)
-    draws_b = draws_a if region_b is region_a else _sampler(region_b)
+    draws_a = _Draws(region_a)
+    draws_b = draws_a if region_b is region_a else _Draws(region_b)
     distances = np.empty(cfg.n_pairs)
     for index, lo in enumerate(range(0, cfg.n_pairs, cfg.batch)):
         out = distances[lo:lo + cfg.batch]

@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polydist import (KMConfig, RingSpec, pdf_to_cdf, ring_pdd, within_triangle_pdf,
-                      canonicalize_triangle)
+from polydist import (KMConfig, RingSpec, SimplePolygon, pdf_to_cdf, ring_pdd,
+                      within_triangle_pdf, canonicalize_triangle)
 from polydist import cli, compose
 from polydist.cli import main
 from polydist.km_engine import DiagnosticError
@@ -184,6 +184,34 @@ def test_ring_command_writes_six_files(tmp_path, capsys):
     assert f33[-1, 2] >= 0.995
 
 
+# holes whose Triangle.diameter (np.linalg.norm of a side) is one ulp off
+# the SimplePolygon diameter of the same vertices
+TRIANGLE_HOLE = [[-0.2, -0.15], [0.4, 0.05], [0.3, -0.25]]
+TRIANGLE_OUTER = [[1.6, 0.5], [-0.4, 1.8], [-0.6, -1.1]]
+
+
+@pytest.mark.parametrize("outer, hole", [
+    (square(0.5).vertices.tolist(), TRIANGLE_HOLE),
+    (TRIANGLE_OUTER, TRIANGLE_HOLE),
+    (TRIANGLE_OUTER, square(0.3).vertices.tolist()),
+], ids=["square-triangle", "triangle-triangle", "triangle-square"])
+def test_ring_command_reads_triangles_as_polygons(tmp_path, outer, hole):
+    # a 3-vertex file parses to a Triangle; the ring's curves are those of
+    # the SimplePolygon with the same vertices, bit for bit
+    out_dir = tmp_path / "curves"
+    assert main(["ring", "--outer", write_geometry(tmp_path / "outer.json", {"vertices": outer}),
+                 "--hole", write_geometry(tmp_path / "hole.json", {"vertices": hole}),
+                 *FAST_FLAGS, "--out", str(out_dir)]) == 0
+    ring = RingSpec(SimplePolygon(np.array(outer, dtype=float)),
+                    SimplePolygon(np.array(hole, dtype=float)))
+    curves = ring_pdd(ring, KMConfig(math.radians(1.0), grid_points=100))
+    for name in cli.RING_NAMES:
+        table = np.loadtxt(out_dir / f"{name}.csv", delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(table[:, 0], curves[name].grid)
+        np.testing.assert_array_equal(table[:, 1], curves[name].meta["pdf_values"])
+        np.testing.assert_array_equal(table[:, 2], curves[name].values)
+
+
 def test_check_pass_and_fail(tmp_path, capsys):
     geom = write_geometry(tmp_path / "g.json",
                           {"angles": [60.0, 60.0, 60.0]})
@@ -251,6 +279,14 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     flat = write_geometry(tmp_path / "flat.json",
                           {"vertices": [[0, 0], [1, 0], [2, 0]]})
     assert main(["triangle", "--geometry", flat, *FAST_FLAGS]) == 2
+
+    # a non-finite coordinate is a geometry error, named as such
+    for value in ("NaN", "Infinity"):
+        bad = tmp_path / "nonfinite.json"
+        bad.write_text('{"vertices": [[0, 0], [2, 0], [2, 1], [%s, 1], [0, 2]]}' % value)
+        capsys.readouterr()
+        assert main(["polygon", "--geometry", str(bad), *FAST_FLAGS]) == 2
+        assert "non-finite" in capsys.readouterr().err
 
 
 def test_diagnostic_failures_exit_three(tmp_path, monkeypatch, capsys):

@@ -95,6 +95,27 @@ def test_simple_polygon_validation():
     assert cw.area > 0.0  # orientation normalized to CCW
 
 
+def test_non_finite_coordinates_are_rejected():
+    for bad in (math.nan, math.inf, -math.inf):
+        quad = [[0, 0], [1, 0], [1, 1], [bad, 1]]
+        with pytest.raises(GeometryError, match="non-finite"):
+            SimplePolygon(np.array(quad, dtype=float))
+        with pytest.raises(GeometryError, match="non-finite"):
+            SimplePolygon.from_vertices(quad)
+        with pytest.raises(GeometryError, match="non-finite"):
+            Triangle(np.array([[0, 0], [1, 0], [bad, 1]], dtype=float))
+        with pytest.raises(GeometryError, match="non-finite"):
+            Triangle.from_vertices((0, 0), (1, 0), (0, bad))
+        # three vertices once gave a Triangle of area nan
+        with pytest.raises(GeometryError, match="non-finite"):
+            geometry_from_spec({"vertices": [[0, 0], [1, 0], [bad, 1]]})
+        with pytest.raises(GeometryError, match="non-finite"):
+            geometry_from_spec({"vertices": quad})
+    # finite coordinates that overflow once scaled
+    with pytest.raises(GeometryError, match="non-finite"), np.errstate(over="ignore"):
+        geometry_from_spec({"vertices": [[0, 0], [1e300, 0], [0, 1e300]], "scale": 1e10})
+
+
 def test_simple_polygon_copies_the_callers_array():
     # a C-contiguous float64 array already listed CCW needs no conversion
     pts = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)

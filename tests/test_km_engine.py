@@ -75,6 +75,15 @@ def test_config_defaults_and_bounds():
         KMConfig(grid_points=49)
 
 
+def test_config_grid_points_must_be_an_integer():
+    # a float count once validated and then failed inside np.linspace
+    for bad in (100.5, 100.0, True, "100"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            KMConfig(grid_points=bad)
+    assert KMConfig(grid_points=np.int64(100)).grid_points == 100
+    assert KMConfig(grid_points=np.int32(100)).grid_points == 100
+
+
 def quadratic_density(n=400):
     # f(d) = (3/4) d (2 - d) on [0, 2]: vanishes at both ends, integral 1.
     grid = np.linspace(0.0, 2.0, n + 1)

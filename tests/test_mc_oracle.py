@@ -187,9 +187,13 @@ class _Rows:
     def __init__(self, rows):
         self.rows = np.asarray(rows, dtype=float)
 
-    def random(self, shape):
-        assert shape == self.rows.shape
-        return self.rows.copy()
+    def random(self, shape=None, out=None):
+        if out is None:
+            assert shape == self.rows.shape
+            return self.rows.copy()
+        assert out.shape == self.rows.shape
+        out[...] = self.rows
+        return out
 
 
 def test_fold_matches_boolean_mask_fold_bit_for_bit():
@@ -306,6 +310,8 @@ STAR = SimplePolygon.from_vertices([
 
 FAR = Triangle.from_vertices((3.0, 0.0), (4.1, 0.3), (3.3, 1.7))
 POLYGON_HOLE = HollowRegion(square(0.5), square(0.3, center=(0.05, -0.02)))
+TRIANGLE_HOLE = HollowRegion(Triangle.from_vertices((-1, -1), (2, -1), (-1, 2)),
+                             Disk((0.0, 0.0), 0.4))
 
 
 @pytest.mark.parametrize("region_a, region_b, batch", [
@@ -324,9 +330,12 @@ POLYGON_HOLE = HollowRegion(square(0.5), square(0.3, center=(0.05, -0.02)))
     (STAR, FAR, 9_000),
     (POLYGON_HOLE, FAR, 9_001),
     (FAR, POLYGON_HOLE, 9_001),
+    # a triangle as the outer boundary of a hole still draws triangle keys
+    (TRIANGLE_HOLE, FAR, 9_001),
 ], ids=["triangle", "triangle-pair", "star", "polygon-hole", "disk-hole",
         "triangle-pair-9001", "star-triangle-9001", "triangle-star-9001",
-        "star-triangle", "polygon-hole-triangle-9001", "triangle-polygon-hole-9001"])
+        "star-triangle", "polygon-hole-triangle-9001", "triangle-polygon-hole-9001",
+        "triangle-disk-hole-triangle-9001"])
 def test_pdd_mc_draws_match_reference_formulas(region_a, region_b, batch):
     # three batches (neither 9000 nor 9001 divides 20000), the first two
     # spanning a block edge of the point map
@@ -523,9 +532,9 @@ def test_hollow_region_polygon_hole():
     np.testing.assert_array_equal(ecdf.samples, again.samples)
 
     rng = np.random.default_rng(0)
-    from polydist.mc_oracle import _sampler
+    from polydist.mc_oracle import _Draws
 
-    pts = _sampler(region)(rng, 50_000)
+    pts, _ = _Draws(region).draw(rng, 50_000)
     assert np.abs(pts).max() <= 0.5 + 1e-12
     inside_hole = (np.abs(pts[:, 0]) < 0.3) & (np.abs(pts[:, 1]) < 0.3)
     assert not inside_hole.any()
@@ -534,9 +543,9 @@ def test_hollow_region_polygon_hole():
 def test_hollow_region_disk_hole():
     outer = regular_polygon(6, side=1.0)
     region = HollowRegion(outer, Disk((0.0, 0.0), 0.7))
-    from polydist.mc_oracle import _sampler
+    from polydist.mc_oracle import _Draws
 
-    pts = _sampler(region)(np.random.default_rng(3), 50_000)
+    pts, _ = _Draws(region).draw(np.random.default_rng(3), 50_000)
     r = np.hypot(pts[:, 0], pts[:, 1])
     assert r.min() >= 0.7
     assert outer.contains(pts).all()
@@ -554,10 +563,10 @@ def test_hollow_region_rejects_holes_that_leave_no_region():
 
 
 def test_sample_region_rejects_unknown():
-    from polydist.mc_oracle import _sampler
+    from polydist.mc_oracle import _Draws
 
     with pytest.raises(TypeError):
-        _sampler("not a region")
+        _Draws("not a region")
 
 
 def test_pdd_mc_triangulates_each_region_once(monkeypatch):
