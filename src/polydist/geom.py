@@ -113,10 +113,7 @@ class Triangle:
     def side_lengths(self) -> tuple[float, float, float]:
         """Side lengths sorted descending (a, b, c)."""
         v = self.vertices
-        lengths = [
-            float(np.linalg.norm(v[(i + 2) % 3] - v[(i + 1) % 3])) for i in range(3)
-        ]
-        a, b, c = sorted(lengths, reverse=True)
+        a, b, c = sorted(_lengths(_next(v) - v).tolist(), reverse=True)
         return a, b, c
 
     @property
@@ -329,11 +326,17 @@ def point_in_polygon(vertices, points) -> np.ndarray | bool:
     return bool(inside[0]) if single else inside
 
 
+def _lengths(vectors: np.ndarray) -> np.ndarray:
+    """Lengths sqrt(dx*dx + dy*dy) of 2-d vectors (..., 2).  Triangle sides
+    and polygon diameters share it, so that a triangle and the polygon of
+    its vertices have bit-identical diameters."""
+    return np.sqrt((vectors * vectors).sum(axis=-1))
+
+
 def _pair_distances(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     """Distances from each point of ``pa`` (..., m, 2) to each of ``pb``
     (..., k, 2), shaped (..., m, k)."""
-    diff = pa[..., :, None, :] - pb[..., None, :, :]
-    return np.sqrt((diff * diff).sum(axis=-1))
+    return _lengths(pa[..., :, None, :] - pb[..., None, :, :])
 
 
 def _max_pair_distance(pa: np.ndarray, pb: np.ndarray) -> float:
@@ -458,6 +461,21 @@ def _overlap_area(tri_a: Triangle, tri_b: Triangle) -> float:
     return abs(_signed_area(poly))
 
 
+def _separated(va: np.ndarray, vb: np.ndarray) -> np.ndarray:
+    """Whether the line of an edge of one triangle has the other triangle on
+    its outer side or on it, so that their interiors cannot overlap.
+
+    ``va`` is one triangle's CCW vertices (3, 2); ``vb`` is one or more
+    CCW triangles (..., 3, 2), over which the test is vectorized.
+    """
+    ea = _next(va) - va
+    eb = vb[..., [1, 2, 0], :] - vb
+    # (..., edge, vertex): a CCW edge has the interior on its left
+    cut_a = _cross2(ea[:, None], vb[..., None, :, :] - va[:, None]) <= 0.0
+    cut_b = _cross2(eb[..., :, None, :], va - vb[..., :, None, :]) <= 0.0
+    return cut_a.all(axis=-1).any(axis=-1) | cut_b.all(axis=-1).any(axis=-1)
+
+
 def _snaps(dist, scale):
     """Which vertex distances ``dist`` of a triangle pair with feature
     scale ``scale`` are close enough to snap the two vertices together."""
@@ -468,7 +486,9 @@ def classify_pair(tri_a: Triangle, tri_b: Triangle) -> TrianglePairSpec:
     """Classify a pair of interior-disjoint triangles.
 
     Vertices of ``tri_b`` within the snap tolerance of a vertex of ``tri_a``
-    are snapped onto it; overlapping interiors raise GeometryError.
+    are snapped onto it; overlapping interiors raise GeometryError.  Only a
+    pair that no edge line separates (:func:`_separated`) is clipped to
+    measure its overlap.
     """
     va = tri_a.vertices
     vb = np.array(tri_b.vertices)
@@ -477,15 +497,19 @@ def classify_pair(tri_a: Triangle, tri_b: Triangle) -> TrianglePairSpec:
     matches = [(int(i), int(j)) for i, j in np.argwhere(snapped)]
     if len({i for i, _ in matches}) != len(matches) or len({j for _, j in matches}) != len(matches):
         raise GeometryError("ambiguous vertex matching between triangles")
+    moved = any((vb[j] != va[i]).any() for i, j in matches)
     for i, j in matches:
         vb[j] = va[i]
     if len(matches) >= 3:
         raise GeometryError("triangles coincide")
-    tri_b = Triangle.from_vertices(*vb)
+    if moved:
+        tri_b = Triangle.from_vertices(*vb)
 
-    overlap = _overlap_area(tri_a, tri_b)
-    if overlap > 1e-9 * min(tri_a.area, tri_b.area):
-        raise GeometryError("triangle interiors overlap")
+    # an edge line between them rules out overlap without the clip
+    if not _separated(va, tri_b.vertices):
+        overlap = _overlap_area(tri_a, tri_b)
+        if overlap > 1e-9 * min(tri_a.area, tri_b.area):
+            raise GeometryError("triangle interiors overlap")
 
     areas = (tri_a.area, tri_b.area)
     max_d = _max_pair_distance(tri_a.vertices, tri_b.vertices)
@@ -517,7 +541,8 @@ def check_pairs(tris_a, tris_b) -> float:
     largest distance between a point of each.
 
     A pair is passed over when the line of an edge of one triangle has the
-    other triangle on its outer side or on it, and no two of the pair's
+    other triangle on its outer side or on it (:func:`_separated`, the test
+    ``classify_pair`` also makes), and no two of the pair's
     vertices snap together without coinciding.  Such a pair can neither
     overlap nor move a vertex, so :func:`classify_pair` would accept it and
     measure the same vertex distances, which are taken here.  Every other
@@ -527,16 +552,11 @@ def check_pairs(tris_a, tris_b) -> float:
     them.)
     """
     vb = np.stack([t.vertices for t in tris_b])  # (T_b, 3, 2), CCW
-    eb = vb[:, [1, 2, 0]] - vb
     scale_b = np.array([_feature_scale(v) for v in vb])
     pairs, far = [], []
     for ta in tris_a:
         va = ta.vertices
-        ea = _next(va) - va
-        # (T_b, edge, vertex): a CCW edge has the interior on its left
-        cut_a = _cross2(ea[None, :, None], vb[:, None] - va[None, :, None]) <= 0.0
-        cut_b = _cross2(eb[:, :, None], va[None, None] - vb[:, :, None]) <= 0.0
-        apart = cut_a.all(axis=2).any(axis=1) | cut_b.all(axis=2).any(axis=1)
+        apart = _separated(va, vb)
         dist = _pair_distances(va, vb)  # (T_b, 3, 3)
         scale = np.maximum(_feature_scale(va), scale_b)[:, None, None]
         near = (_snaps(dist, scale) & (dist > 0.0)).any(axis=(1, 2))
@@ -647,8 +667,7 @@ def triangulate_ring(outer: SimplePolygon, hole: SimplePolygon) -> list[Triangle
     vo = outer.vertices
     vh = hole.vertices
     no, nh = len(vo), len(vh)
-    diff = vo[:, None, :] - vh[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
+    dist = _pair_distances(vo, vh)
     i_out, j_hole = np.unravel_index(int(np.argmin(dist)), dist.shape)
 
     # outer walked CCW up to the bridge, hole walked CW (reversed) and back
@@ -738,7 +757,9 @@ def geometry_from_spec(data: dict) -> "Triangle | SimplePolygon":
 
     pts = _as_points(data["vertices"])
     if scale is not None:
-        pts = pts * scale
+        # a product that overflows is inf, which the constructors reject
+        with np.errstate(over="ignore"):
+            pts = pts * scale
     if pts.shape[0] == 3:
         return Triangle.from_vertices(pts[0], pts[1], pts[2])
     return SimplePolygon.from_vertices(pts)

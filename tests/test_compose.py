@@ -92,6 +92,21 @@ def test_polygon_pdd_triangle_is_the_plain_sweep():
     np.testing.assert_array_equal(via_polygon.values, direct.values)
 
 
+def test_polygon_pdd_of_a_triangle_is_the_pdd_of_its_polygon():
+    # this draw's longest side once measured one ulp off the polygon's
+    # diameter, which moved every grid node
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        vertices = rng.normal(size=(3, 2))
+    tri = Triangle.from_vertices(*vertices)
+    poly = SimplePolygon(tri.vertices)
+    assert tri.diameter == poly.diameter
+    as_triangle, as_polygon = polygon_pdd(tri), polygon_pdd(poly)
+    np.testing.assert_array_equal(as_triangle.grid, as_polygon.grid)
+    np.testing.assert_array_equal(as_triangle.values, as_polygon.values)
+    np.testing.assert_array_equal(as_triangle.meta["pdf_values"], as_polygon.meta["pdf_values"])
+
+
 L_SHAPE = SimplePolygon(np.array([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]], dtype=float))
 
 

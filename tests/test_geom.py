@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from polydist import geom
 from polydist.geom import (
     GeometryError,
     SimplePolygon,
@@ -111,9 +112,11 @@ def test_non_finite_coordinates_are_rejected():
             geometry_from_spec({"vertices": [[0, 0], [1, 0], [bad, 1]]})
         with pytest.raises(GeometryError, match="non-finite"):
             geometry_from_spec({"vertices": quad})
-    # finite coordinates that overflow once scaled
-    with pytest.raises(GeometryError, match="non-finite"), np.errstate(over="ignore"):
-        geometry_from_spec({"vertices": [[0, 0], [1e300, 0], [0, 1e300]], "scale": 1e10})
+    # finite coordinates that overflow once scaled, with no overflow warning
+    # (an error under this suite's warning filter)
+    for vertices in ([[0, 0], [1e300, 0], [0, 1e300]], [[0, 0], [1e300, 0], [0, 1e300], [1, 1]]):
+        with pytest.raises(GeometryError, match="non-finite"):
+            geometry_from_spec({"vertices": vertices, "scale": 1e10})
 
 
 def test_simple_polygon_copies_the_callers_array():
@@ -284,6 +287,25 @@ def test_classify_rejects_overlap():
     shifted = Triangle(t.vertices + np.array([0.5, 0.1]))
     with pytest.raises(GeometryError):
         classify_pair(t, shifted)
+
+
+def test_classify_clips_only_pairs_no_edge_line_separates(monkeypatch):
+    clips = []
+    overlap_area = geom._overlap_area
+
+    def counting(tri_a, tri_b):
+        clips.append((tri_a, tri_b))
+        return overlap_area(tri_a, tri_b)
+
+    monkeypatch.setattr(geom, "_overlap_area", counting)
+    tris = triangulate(regular_polygon(5))
+    assert classify_pair(tris[0], tris[1]).kind == "shared_side_convex"
+    assert classify_pair(tris[0], tris[2]).kind == "shared_vertex"
+    assert clips == []
+    t = Triangle.from_vertices((0, 0), (2, 0), (0, 2))
+    with pytest.raises(GeometryError, match="triangle interiors overlap"):
+        classify_pair(t, Triangle(t.vertices + np.array([0.5, 0.1])))
+    assert len(clips) == 1
 
 
 def test_approximate_disk():

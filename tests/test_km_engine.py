@@ -34,8 +34,10 @@ from polydist.km_engine import (
     sweep_within,
 )
 from polydist.mc_oracle import SampleConfig, ks_distance, pdd_mc
+from polydist import km_engine
 
 from shapes import (
+    CONCAVE_PAIR_ANGLES,
     CONVEX_PAIR_ANGLES,
     pair_from_angles,
     random_angle_triple,
@@ -421,6 +423,72 @@ def test_cross_pair_matches_mc():
     assert ks_distance(cdf, ecdf) < 0.01
 
 
+@pytest.mark.parametrize("d_theta", [math.pi / 720, math.pi / 1440], ids=["default", "half-step"])
+def test_triangle_pair_projects_once(monkeypatch, d_theta):
+    # the 9 edge pairs of a triangle pair at every orientation fit one block
+    calls = []
+    project = km_engine._project
+
+    def counting(*args):
+        calls.append(len(args[2]))
+        return project(*args)
+
+    monkeypatch.setattr(km_engine, "_project", counting)
+    curve = cross_pair_pdf(pair_from_angles(*CONVEX_PAIR_ANGLES), KMConfig(d_theta=d_theta))
+    assert calls == [curve.meta["orientations"]]
+
+
+def brute_force_pair_terms(pair, cfg):
+    """A x B edge pairs whose offset ranges overlap strictly, counted over
+    the orientation rule with plain loops."""
+    theta, _ = km_engine._orientations(cfg)
+    count = 0
+    for th in theta:
+        sin, cos = math.sin(th), math.cos(th)
+        ranges = []
+        for tri in (pair.tri_a, pair.tri_b):
+            p = [-x * sin + y * cos for x, y in tri.vertices.tolist()]
+            ranges.append([(min(p[k], p[k - 1]), max(p[k], p[k - 1])) for k in range(3)])
+        for lo_e, hi_e in ranges[0]:
+            for lo_f, hi_f in ranges[1]:
+                if lo_e < hi_e and lo_f < hi_f and lo_e < hi_f and lo_f < hi_e:
+                    count += 1
+    return count
+
+
+def test_between_sweep_bins_exactly_the_overlapping_edge_pairs():
+    from polydist import classify_pair
+
+    tri = Triangle.from_vertices((0.0, 0.0), (1.0, 0.0), (0.3, 0.8))
+    pairs = [
+        pair_from_angles(*CONVEX_PAIR_ANGLES),
+        pair_from_angles(*CONCAVE_PAIR_ANGLES),
+        classify_pair(tri, Triangle.from_vertices((0.0, 0.0), (-0.9, -0.2), (-0.4, -0.9))),
+        classify_pair(tri, Triangle(tri.vertices + np.array([1.4, 0.3]))),
+    ]
+    assert [p.kind for p in pairs] == ["shared_side_convex", "shared_side_concave",
+                                       "shared_vertex", "disjoint"]
+    for pair in pairs:
+        curve = cross_pair_pdf(pair, KMConfig())
+        assert curve.meta["pair_terms"] == brute_force_pair_terms(pair, KMConfig())
+
+
+def test_between_sweep_in_slices_of_a_finds_the_same_pairs(monkeypatch):
+    # fan halves of a 24-gon: 33 x 33 edges; a small candidate budget splits
+    # A into slices at each single orientation
+    from polydist import triangulate
+
+    tris = triangulate(approximate_disk((0.0, 0.0), 1.0, 24))
+    part_a, part_b = UnionSource(tris[:11]), UnionSource(tris[11:])
+    area_a, area_b = sum(t.area for t in tris[:11]), sum(t.area for t in tris[11:])
+    ref = sweep_between(part_a, area_a, part_b, area_b, 2.0, FAST)
+    monkeypatch.setattr(km_engine, "_BLOCK_CANDIDATES", 256)
+    sliced = sweep_between(part_a, area_a, part_b, area_b, 2.0, FAST)
+    assert sliced.meta["pair_terms"] == ref.meta["pair_terms"]
+    np.testing.assert_allclose(sliced.values, ref.values, rtol=0.0,
+                               atol=1e-12 * ref.values.max())
+
+
 # ---------------------------------------------------------------------------
 # Resolution behaviour
 # ---------------------------------------------------------------------------
@@ -537,6 +605,13 @@ def test_zero_width_edges_are_masked():
     curve = sweep_within(PolygonSource(loop), sq.area, sq.diameter, FAST)
     np.testing.assert_allclose(curve.values, ref.values, rtol=0.0, atol=1e-12)
     assert curve.meta["pair_terms"] == ref.meta["pair_terms"]
+    # and on either side of a between sweep
+    right = PolygonSource(sq.vertices + np.array([1.0, 0.0]))
+    ref = sweep_between(PolygonSource(sq.vertices), sq.area, right, sq.area, 2.5, FAST)
+    for a, b in ((PolygonSource(loop), right), (right, PolygonSource(loop))):
+        curve = sweep_between(a, sq.area, b, sq.area, 2.5, FAST)
+        np.testing.assert_allclose(curve.values, ref.values, rtol=0.0, atol=1e-12)
+        assert curve.meta["pair_terms"] == ref.meta["pair_terms"]
 
 
 def test_regular_64_gon_bins_only_overlapping_edge_pairs():
