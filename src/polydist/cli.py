@@ -361,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     tri.add_argument("--angles", type=_angles_arg, default=None,
                      help="three interior angles in degrees, comma separated")
     tri.add_argument("--scale", type=float, default=None,
-                     help="longest side length when --angles is used (default 1)")
+                     help="longest side length of an --angles triangle (default 1); "
+                          'a geometry file takes its "scale" key instead')
     tri.add_argument("--geometry", default=None, help="geometry JSON file")
     _add_numeric_flags(tri)
 
@@ -417,6 +418,9 @@ def job_from_args(args: argparse.Namespace) -> JobSpec:
     if args.command == "triangle":
         if (args.angles is None) == (args.geometry is None):
             raise GeometryError("give exactly one of --angles or --geometry")
+        if args.geometry is not None and args.scale is not None:
+            raise GeometryError('--scale applies to --angles; a geometry file '
+                                'sets its size with its "scale" key')
         if args.angles is not None:
             geometry = {"angles": args.angles}
             if args.scale is not None:

@@ -51,7 +51,6 @@ __all__ = [
     "TriangleParams",
     "CaseThresholds",
     "antiderivative",
-    "pdf_case",
     "closed_form_pdf",
     "closed_form_curve",
 ]
@@ -403,17 +402,6 @@ def _band_density(band: str, p: TriangleParams, d: np.ndarray,
         if idx.size:
             out[idx] += _band_integral(band, p, d[idx], lo[idx], hi[idx])
     return out
-
-
-def pdf_case(band: str, params: TriangleParams, d):
-    """Density contribution of one orientation band at distance ``d``
-    (a float, or an array of distances)."""
-    if band not in BANDS:
-        raise DomainError(f"unknown band {band!r}")
-    nodes, scalar = _nodes(d)
-    _require_interior(params, nodes)
-    out = _band_density(band, params, nodes, CaseThresholds._of_nodes(params, nodes))
-    return float(out[0]) if scalar else out
 
 
 def closed_form_pdf(params: TriangleParams, d):

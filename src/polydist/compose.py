@@ -63,16 +63,6 @@ __all__ = [
 RING_SOLVE_TOL = 5e-3
 
 
-def _resample_pdf(curve: DensityCurve, d_max: float, n: int) -> np.ndarray:
-    grid = np.linspace(0.0, d_max, n + 1)
-    return np.interp(grid, curve.grid, curve.values, left=0.0, right=0.0)
-
-
-def _resample_cdf_values(grid: np.ndarray, curve: CdfCurve) -> np.ndarray:
-    return np.interp(grid, curve.grid, curve.values,
-                     left=0.0, right=float(curve.values[-1]))
-
-
 @dataclass(frozen=True, eq=False)
 class RegionPartition:
     """Triangulated region with all pairwise distance curves.
@@ -112,14 +102,14 @@ class RegionPartition:
         pdfs: dict = {}
         for i, tri in enumerate(tris):
             pdf = within_triangle_pdf(tri, cfg)
-            pdfs[(i, i)] = _resample_pdf(pdf, d_max, cfg.grid_points)
-            cdfs[(i, i)] = _resample_cdf_values(grid, pdf_to_cdf(pdf))
+            pdfs[(i, i)] = pdf.evaluate(grid)
+            cdfs[(i, i)] = pdf_to_cdf(pdf).evaluate(grid)
         for i in range(len(tris)):
             for j in range(i + 1, len(tris)):
                 pair = classify_pair(tris[i], tris[j])
                 pdf = cross_pair_pdf(pair, cfg)
-                pdfs[(i, j)] = _resample_pdf(pdf, d_max, cfg.grid_points)
-                cdfs[(i, j)] = _resample_cdf_values(grid, pdf_to_cdf(pdf))
+                pdfs[(i, j)] = pdf.evaluate(grid)
+                cdfs[(i, j)] = pdf_to_cdf(pdf).evaluate(grid)
         return cls(tris, areas, total_area, d_max, grid, cdfs, pdfs)
 
     def cdf_values(self, i: int, j: int) -> np.ndarray:
@@ -178,29 +168,25 @@ def polygon_pdd(poly: SimplePolygon | Triangle, cfg: KMConfig | None = None) -> 
         "region": "polygon",
         "area": poly.area,
         "pdf_values": pdf.values,
-        "config": {"d_theta": cfg.d_theta, "grid_points": cfg.grid_points},
     }
     return CdfCurve(pdf.d_max, pdf_to_cdf(pdf).values, meta)
 
 
-def between_regions_pdd(part_a, part_b, cfg: KMConfig | None = None,
-                        d_max: float | None = None) -> CdfCurve:
+def between_regions_pdd(part_a, part_b, cfg: KMConfig | None = None) -> CdfCurve:
     """Distance CDF between one uniform point in each triangulated region,
     from one sweep between the two regions' triangles.
 
     ``part_a`` and ``part_b`` are lists of triangles; the regions must be
     interior-disjoint (shared boundary is fine).  Every triangle pair that
     may touch is classified, which rejects overlapping interiors; the
-    default ``d_max`` is the largest distance over all pairs.
+    curve's ``d_max`` is the largest distance over all pairs.
     """
     cfg = cfg or KMConfig()
     tris_a = list(part_a)
     tris_b = list(part_b)
     if not tris_a or not tris_b:
         raise GeometryError("both regions need at least one triangle")
-    max_distance = check_pairs(tris_a, tris_b)
-    if d_max is None:
-        d_max = max_distance
+    d_max = check_pairs(tris_a, tris_b)
     area_a = sum(t.area for t in tris_a)
     area_b = sum(t.area for t in tris_b)
     pdf = sweep_between(UnionSource(tris_a), area_a, UnionSource(tris_b), area_b, d_max, cfg)
@@ -270,8 +256,8 @@ def ring_pdd(ring: RingSpec, cfg: KMConfig | None = None) -> dict[str, CdfCurve]
         PolygonSource(ring.outer.vertices, ring.hole.vertices),
         s1, s2, d_max, hull_diameter(ring.hole.vertices), cfg)
     f11_vals, f23_vals, f33_vals = (pdf_to_cdf(pdf).values for pdf in (pdf11, pdf23, pdf33))
-    f22_vals = _resample_cdf_values(grid, pdf_to_cdf(pdf22))
-    f22_pdf = _resample_pdf(pdf22, d_max, cfg.grid_points)
+    f22_vals = pdf_to_cdf(pdf22).evaluate(grid)
+    f22_pdf = pdf22.evaluate(grid)
 
     raw33 = (s1 * s1 * f11_vals - s2 * s2 * f22_vals
              - 2.0 * s2 * s3 * f23_vals) / (s3 * s3)

@@ -1,8 +1,8 @@
 """Planar geometry for distance-distribution computations.
 
-Triangles, simple polygons, convex clipping of lines in (theta, p)
-coordinates, and the classification operations the distribution engines are
-built on.
+Triangles, simple polygons, the projection of edges onto lines in
+(theta, p) coordinates (which the sweeps bin and the convex clipper reads),
+and the classification operations the distribution engines are built on.
 
 Conventions used throughout the package:
 
@@ -128,20 +128,6 @@ class Triangle:
     @property
     def diameter(self) -> float:
         return self.side_lengths[0]
-
-    @property
-    def is_canonical(self) -> bool:
-        """True when placed with the longest side on [0, a] of the x-axis."""
-        v = self.vertices
-        a = self.diameter
-        tol = EPS_SNAP * max(a, 1.0)
-        return (
-            abs(v[0, 0]) <= tol
-            and abs(v[0, 1]) <= tol
-            and abs(v[1, 0] - a) <= tol
-            and abs(v[1, 1]) <= tol
-            and v[2, 1] > 0.0
-        )
 
 
 def canonicalize_triangle(
@@ -350,12 +336,36 @@ def hull_diameter(points) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Convex clipping
+# Edges projected onto lines
 # ---------------------------------------------------------------------------
 
 
+def _project(edges, rotation, weight) -> np.ndarray:
+    """Rows (lo, hi, t, slope, sign, weight * sign) of every edge at every
+    orientation of a block, flattened over (orientation, edge).
+
+    ``edges`` holds the start and end points of the edges, ``rotation``
+    exp(-i theta) of each orientation and ``weight`` its quadrature weight.
+    The edge spans the offsets [lo, hi] and crosses the line at offset p at
+    t + slope * (p - lo); sign is +1 where lines enter the region through
+    it and -1 where they leave.
+    """
+    # endpoints as t + i s: position along the lines and offset
+    rot_a, rot_b = (np.outer(rotation, z[:, 0] + 1j * z[:, 1]) for z in edges)
+    t_a, s_a, t_b, s_b = rot_a.real, rot_a.imag, rot_b.real, rot_b.imag
+    # the interior lies left of the edge: behind it along the line when
+    # the edge runs up in offset
+    up = s_b > s_a
+    width = np.abs(s_b - s_a)
+    slope = np.where(up, t_b - t_a, t_a - t_b) / np.where(width > 0.0, width, 1.0)
+    sign = np.where(up, -1.0, 1.0)
+    return np.stack([np.where(up, s_a, s_b), np.where(up, s_b, s_a),
+                     np.where(up, t_a, t_b), slope, sign, sign * weight[:, None]]
+                    ).reshape(6, -1)
+
+
 class ConvexClipper:
-    """Half-plane form of a convex polygon for fast line clipping.
+    """Chords and support of a convex polygon, read from :func:`_project`.
 
     ``chord(theta, p)`` intersects the whole family of parallel lines at
     offsets ``p`` (an array) with the polygon in one vectorized pass.
@@ -365,43 +375,30 @@ class ConvexClipper:
         v = _as_points(vertices)
         if _signed_area(v) < 0.0:
             v = v[::-1].copy()
-        edges = _next(v) - v
-        lengths = np.linalg.norm(edges, axis=1)
-        if (lengths <= 0.0).any():
+        if (v == _next(v)).all(axis=1).any():
             raise GeometryError("convex clipper: repeated vertices")
-        # interior of a CCW polygon lies left of each edge
-        normals = np.stack([-edges[:, 1], edges[:, 0]], axis=1) / lengths[:, None]
         self.vertices = v
-        self._normals = normals
-        self._offsets = (normals * v).sum(axis=1)
-        self._scale = _feature_scale(v)
+
+    def _table(self, theta: float) -> np.ndarray:
+        return _project((self.vertices, _next(self.vertices)),
+                        np.exp(-1j * np.array([theta])), np.ones(1))
 
     def support(self, theta: float) -> tuple[float, float]:
-        nx, ny = -math.sin(theta), math.cos(theta)
-        proj = self.vertices[:, 0] * nx + self.vertices[:, 1] * ny
-        return float(proj.min()), float(proj.max())
+        lo, hi = self._table(theta)[:2]
+        return float(lo.min()), float(hi.max())
 
     def chord(self, theta: float, p) -> tuple[np.ndarray, np.ndarray]:
-        """Chord bounds (t_lo, t_hi) for each offset in p; empty when t_lo > t_hi."""
+        """Chord bounds (t_lo, t_hi) for each offset in p; empty when t_lo > t_hi.
+
+        A line enters through the sign +1 edge whose offset range holds p
+        and leaves through the sign -1 edge.
+        """
         p = np.atleast_1d(np.asarray(p, dtype=np.float64))
-        ux, uy = math.cos(theta), math.sin(theta)
-        nx, ny = -uy, ux
-        mu = self._normals[:, 0] * ux + self._normals[:, 1] * uy
-        mn = self._normals[:, 0] * nx + self._normals[:, 1] * ny
-        t_lo = np.full(p.shape, -np.inf)
-        t_hi = np.full(p.shape, np.inf)
-        par_tol = 1e-14
-        feas_tol = EPS_CROSS * self._scale
-        for i in range(len(mu)):
-            if abs(mu[i]) <= par_tol:
-                infeasible = p * mn[i] < self._offsets[i] - feas_tol
-                t_lo = np.where(infeasible, np.inf, t_lo)
-                continue
-            bound = (self._offsets[i] - p * mn[i]) / mu[i]
-            if mu[i] > 0.0:
-                np.maximum(t_lo, bound, out=t_lo)
-            else:
-                np.minimum(t_hi, bound, out=t_hi)
+        lo, hi, t, slope, sign = (row[:, None] for row in self._table(theta)[:5])
+        at = t + slope * (p - lo)
+        holds = (lo <= p) & (p <= hi)
+        t_lo = np.where(holds & (sign > 0.0), at, np.inf).min(axis=0)
+        t_hi = np.where(holds & (sign < 0.0), at, -np.inf).max(axis=0)
         return t_lo, t_hi
 
 

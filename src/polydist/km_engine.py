@@ -40,7 +40,7 @@ Gauss-Legendre); it integrates P too, consistently with the pair terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -51,6 +51,7 @@ from .geom import (
     Triangle,
     TrianglePairSpec,
     _next,
+    _project,
     _signed_area,
 )
 
@@ -221,16 +222,17 @@ def trapezoid_kernel(l1, l2, l3, d):
 # ---------------------------------------------------------------------------
 #
 # The sweeps read a source's ``loops``, each oriented once by its role:
-# the interior lies left of every edge.  Only ``ConvexSource`` also clips
-# single lines (``chords``, ``support``), for checks of the line measure.
+# the interior lies left of every edge, and ``geom._project`` projects the
+# edges at each orientation.  ``ConvexSource`` is no sweep input: it clips
+# single lines (``chords``, ``support``) from the same projection, for
+# checks of the line measure.
 
 
 class ConvexSource:
     """Chords of a single convex region (triangle or convex polygon)."""
 
     def __init__(self, vertices):
-        self._clipper = ConvexClipper(vertices)  # counter-clockwise
-        self.loops = [self._clipper.vertices]
+        self._clipper = ConvexClipper(vertices)
 
     def support(self, theta: float) -> tuple[float, float]:
         return self._clipper.support(theta)
@@ -409,28 +411,6 @@ def _blocks(size: int, budget: int, cfg: KMConfig):
     n = min(len(theta), -(-len(theta) * size // budget))
     for th, w in zip(np.array_split(theta, n), np.array_split(weight, n)):
         yield np.exp(-1j * th), w
-
-
-def _project(edges, rotation, weight) -> np.ndarray:
-    """Rows (lo, hi, t, slope, sign, weight * sign) of every edge at every
-    orientation of a block, flattened over (orientation, edge).
-
-    The edge spans the offsets [lo, hi] and crosses the line at offset p at
-    t + slope * (p - lo); sign is +1 where lines enter the region through
-    it and -1 where they leave.
-    """
-    # endpoints as t + i s: position along the lines and offset
-    rot_a, rot_b = (np.outer(rotation, z[:, 0] + 1j * z[:, 1]) for z in edges)
-    t_a, s_a, t_b, s_b = rot_a.real, rot_a.imag, rot_b.real, rot_b.imag
-    # the interior lies left of the edge: behind it along the line when
-    # the edge runs up in offset
-    up = s_b > s_a
-    width = np.abs(s_b - s_a)
-    slope = np.where(up, t_b - t_a, t_a - t_b) / np.where(width > 0.0, width, 1.0)
-    sign = np.where(up, -1.0, 1.0)
-    return np.stack([np.where(up, s_a, s_b), np.where(up, s_b, s_a),
-                     np.where(up, t_a, t_b), slope, sign, sign * weight[:, None]]
-                    ).reshape(6, -1)
 
 
 def _range_keys(table: np.ndarray, n_rows: int) -> np.ndarray:
@@ -642,9 +622,8 @@ def sweep_ring(source, area_outer: float, area_holes: float, d_max: float,
 def within_triangle_pdf(triangle: Triangle, cfg: KMConfig | None = None) -> DensityCurve:
     """Density of the distance between two uniform points in a triangle."""
     cfg = cfg or KMConfig()
-    meta = {"region": "triangle", "sides": list(triangle.side_lengths),
-            "area": triangle.area, "config": asdict(cfg)}
-    return sweep_within(ConvexSource(triangle.vertices), triangle.area, triangle.diameter,
+    meta = {"region": "triangle", "area": triangle.area}
+    return sweep_within(PolygonSource(triangle.vertices), triangle.area, triangle.diameter,
                         cfg, meta=meta)
 
 
@@ -657,8 +636,8 @@ def within_convex_pdf(polygon: SimplePolygon | Triangle, cfg: KMConfig | None = 
     if not polygon.is_convex():
         raise ValueError("within_convex_pdf needs a convex polygon")
     meta = {"region": "convex_polygon", "n_vertices": len(polygon.vertices),
-            "area": polygon.area, "config": asdict(cfg)}
-    return sweep_within(ConvexSource(polygon.vertices), polygon.area, polygon.diameter,
+            "area": polygon.area}
+    return sweep_within(PolygonSource(polygon.vertices), polygon.area, polygon.diameter,
                         cfg, meta=meta)
 
 
@@ -666,8 +645,7 @@ def cross_pair_pdf(pair: TrianglePairSpec, cfg: KMConfig | None = None) -> Densi
     """Density of the distance between uniform points of two disjoint-interior
     triangles (shared side, shared vertex, or fully disjoint)."""
     cfg = cfg or KMConfig()
-    meta = {"region": "triangle_pair", "kind": pair.kind, "areas": list(pair.areas),
-            "config": asdict(cfg)}
-    return sweep_between(ConvexSource(pair.tri_a.vertices), pair.areas[0],
-                         ConvexSource(pair.tri_b.vertices), pair.areas[1],
+    meta = {"region": "triangle_pair", "kind": pair.kind, "areas": list(pair.areas)}
+    return sweep_between(PolygonSource(pair.tri_a.vertices), pair.areas[0],
+                         PolygonSource(pair.tri_b.vertices), pair.areas[1],
                          pair.max_distance, cfg, meta=meta)

@@ -265,6 +265,10 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(["triangle", "--angles", "60,60,60", "--geometry", geom]) == 2
     # ... or neither
     assert main(["triangle"]) == 2
+    # --scale sizes an --angles triangle; a geometry file has its own "scale"
+    capsys.readouterr()
+    assert main(["triangle", "--geometry", geom, "--scale", "2"]) == 2
+    assert '"scale" key' in capsys.readouterr().err
 
     # angle list of the wrong length is an argparse-level error
     with pytest.raises(SystemExit) as exc:

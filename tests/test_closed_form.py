@@ -16,13 +16,11 @@ from polydist import (
     within_triangle_pdf,
 )
 from polydist.closed_form import (
-    BANDS,
     ENDPOINT_NUDGE,
     CaseThresholds,
     DomainError,
     _band_integral,
     antiderivative,
-    pdf_case,
 )
 from polydist.km_engine import DiagnosticError
 
@@ -194,8 +192,6 @@ def test_endpoints_and_domain():
         closed_form_pdf(p, -0.01)
     with pytest.raises(DomainError):
         closed_form_pdf(p, p.a + 0.01)
-    with pytest.raises(DomainError):
-        pdf_case("sideways", p, 0.5)
 
 
 def test_reference_triangle_matches_sweep():
@@ -234,16 +230,6 @@ def test_total_mass_is_one():
         p = params_from_degrees(*degs)
         vals = np.array([closed_form_pdf(p, float(d)) for d in grid])
         assert np.trapezoid(vals, grid) == pytest.approx(1.0, abs=2e-3)
-
-
-def test_band_split_covers_total():
-    # the three orientation bands partition [0, pi): their contributions
-    # must sum to the assembled density
-    p = params_from_degrees(*REF_ANGLES)
-    for d in (0.2, 0.55, 0.85):
-        parts = [pdf_case(band, p, d) for band in BANDS]
-        assert sum(parts) == pytest.approx(closed_form_pdf(p, d), abs=1e-12)
-        assert all(v >= 0.0 for v in parts)
 
 
 def test_scaled_triangle_matches_sweep():
@@ -330,9 +316,6 @@ def test_array_call_equals_scalar_calls(degs):
     np.testing.assert_array_equal(values, [closed_form_pdf(p, float(d)) for d in grid])
     np.testing.assert_array_equal(values, closed_form_curve(p, n=200).values)
     inner = grid[1:-1]
-    for band in BANDS:
-        np.testing.assert_array_equal(pdf_case(band, p, inner),
-                                      [pdf_case(band, p, float(d)) for d in inner])
     t = CaseThresholds.compute(p, inner)
     for k, d in enumerate(inner):
         one = CaseThresholds.compute(p, float(d))
@@ -351,8 +334,6 @@ def test_domain_errors_fire_inside_arrays():
         with pytest.raises(DomainError, match="outside"):
             closed_form_pdf(p, np.array([0.2, bad, 0.5]))
     for d in (np.array([0.3, 0.0]), np.array([0.3, 1.0])):
-        with pytest.raises(DomainError):
-            pdf_case("mid", p, d)
         with pytest.raises(DomainError):
             antiderivative("mid_far", p, d, 1.0)
     with pytest.raises(DomainError):

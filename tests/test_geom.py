@@ -1,7 +1,9 @@
 """Geometry layer: canonical triangles, polygons, clipping, pair classification.
 
-Line clipping is tested through ``ConvexSource``, the engine's chord
-source for a convex region and the only one that clips single lines.
+Line clipping is tested through ``ConvexSource``, the engine's chord source
+for a convex region and the only one that clips single lines.  It reads the
+sweeps' edge projection, ``geom._project``, and is checked against a plain
+half-plane clip kept here as the reference.
 """
 import math
 
@@ -27,12 +29,19 @@ from shapes import CONCAVE_PAIR_ANGLES, CONVEX_PAIR_ANGLES
 DEG = math.radians
 
 
+def assert_canonical(tri):
+    """Longest side on [0, a] of the x-axis, apex above it."""
+    a = tri.diameter
+    np.testing.assert_allclose(tri.vertices[:2], [[0.0, 0.0], [a, 0.0]], rtol=0.0, atol=1e-12 * a)
+    assert tri.vertices[2, 1] > 0.0
+
+
 def test_canonical_equilateral():
     tri = canonicalize_triangle(angles=[math.pi / 3] * 3)
     expected = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
     np.testing.assert_allclose(tri.vertices, expected, atol=1e-12)
     np.testing.assert_allclose(tri.side_lengths, (1.0, 1.0, 1.0), atol=1e-12)
-    assert tri.is_canonical
+    assert_canonical(tri)
 
 
 def test_canonical_law_of_sines_wide_triangle():
@@ -57,7 +66,7 @@ def test_canonical_from_sides_and_sas():
 def test_canonical_scale():
     tri = canonicalize_triangle(angles=[DEG(80), DEG(70), DEG(30)], scale=2.5)
     assert tri.side_lengths[0] == pytest.approx(2.5, rel=1e-12)
-    assert tri.is_canonical
+    assert_canonical(tri)
 
 
 def test_canonical_rejections():
@@ -217,6 +226,68 @@ def test_support_interval_examples():
     a = ConvexSource(tri.vertices).support(math.pi / 2.0)
     b = ConvexSource(far.vertices).support(math.pi / 2.0)
     assert min(a[1], b[1]) < max(a[0], b[0])
+
+
+def half_plane_chord(vertices, theta, p):
+    """(t0, t1) of the line (theta, p) cut by the inner half-plane of each
+    edge of a CCW convex polygon in turn; a miss has t0 > t1."""
+    u = np.array([math.cos(theta), math.sin(theta)])
+    n = np.array([-math.sin(theta), math.cos(theta)])
+    t0, t1 = -math.inf, math.inf
+    for a, b in zip(vertices, np.roll(vertices, -1, axis=0)):
+        inward = np.array([a[1] - b[1], b[0] - a[0]])
+        # the points p n + t u with inward . (p n + t u - a) >= 0
+        rate, at_zero = float(inward @ u), float(inward @ (p * n - a))
+        if rate > 0.0:
+            t0 = max(t0, -at_zero / rate)
+        elif rate < 0.0:
+            t1 = min(t1, -at_zero / rate)
+        elif at_zero < 0.0:
+            return math.inf, -math.inf
+    return t0, t1
+
+
+def random_convex_polygon(rng):
+    """3 to 12 vertices on a random ellipse, counter-clockwise."""
+    k = int(rng.integers(3, 13))
+    ang = np.sort(rng.uniform(0.0, 2.0 * math.pi, k))
+    axes = rng.uniform(0.2, 3.0, 2)
+    phi = rng.uniform(0.0, math.pi)
+    rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+    pts = np.stack([axes[0] * np.cos(ang), axes[1] * np.sin(ang)], axis=1) @ rot.T
+    return pts + rng.uniform(-5.0, 5.0, 2)
+
+
+def test_chords_match_half_plane_clip():
+    rng = np.random.default_rng(2323)
+    for _ in range(60):
+        v = random_convex_polygon(rng)
+        scale = float(np.ptp(v, axis=0).max())
+        tol = 1e-12 * scale
+        source = ConvexSource(v)
+        edges = np.roll(v, -1, axis=0) - v
+        thetas = np.concatenate([np.arctan2(edges[:, 1], edges[:, 0]) % math.pi,
+                                 rng.uniform(0.0, math.pi, 4)])
+        for theta in thetas:
+            offsets = -v[:, 0] * math.sin(theta) + v[:, 1] * math.cos(theta)
+            ends = np.sort(offsets)
+            p = np.concatenate([offsets, 0.5 * (ends[1:] + ends[:-1]),
+                                ends[[0, -1]] + [-0.1 * scale, 0.1 * scale]])
+            (t0, t1), = source.chords(theta, p)
+            # a tangent line touches a vertex or runs along an edge: its
+            # chord, if any, stays within the vertices at that offset
+            tv = v[:, 0] * math.cos(theta) + v[:, 1] * math.sin(theta)
+            for k, pk in enumerate(p):
+                if min(abs(pk - ends[0]), abs(pk - ends[-1])) <= tol:
+                    on = np.abs(offsets - pk) <= tol
+                    if t0[k] <= t1[k]:
+                        assert tv[on].min() - tol <= t0[k] and t1[k] <= tv[on].max() + tol
+                    continue
+                r0, r1 = half_plane_chord(v, theta, pk)
+                if r0 > r1:
+                    assert t0[k] > t1[k]
+                else:
+                    assert abs(t0[k] - r0) <= tol and abs(t1[k] - r1) <= tol
 
 
 def test_clip_square_horizontal_line():

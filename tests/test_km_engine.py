@@ -18,14 +18,15 @@ from polydist import (
     canonicalize_triangle,
     cross_pair_pdf,
     pdf_to_cdf,
+    polygon_pdd,
     trapezoid_kernel,
     triangulate_ring,
     within_convex_pdf,
     within_triangle_pdf,
 )
+from polydist import geom
 from polydist.geom import approximate_disk, hull_diameter
 from polydist.km_engine import (
-    ConvexSource,
     DifferenceSource,
     PolygonSource,
     UnionSource,
@@ -231,7 +232,7 @@ def test_union_source_matches_single_convex_sweep():
     tri_b = Triangle.from_vertices(*sq.vertices[[0, 2, 3]])
     cfg = KMConfig(d_theta=math.pi / 240, d_p=1.0 / 300, grid_points=150)
     d_max = sq.diameter
-    whole = sweep_within(ConvexSource(sq.vertices), sq.area, d_max, cfg)
+    whole = sweep_within(PolygonSource(sq.vertices), sq.area, d_max, cfg)
     split = sweep_within(UnionSource([tri_a, tri_b]), sq.area, d_max, cfg)
     np.testing.assert_allclose(split.values, whole.values, atol=1e-9)
 
@@ -436,6 +437,24 @@ def test_triangle_pair_projects_once(monkeypatch, d_theta):
     monkeypatch.setattr(km_engine, "_project", counting)
     curve = cross_pair_pdf(pair_from_angles(*CONVEX_PAIR_ANGLES), KMConfig(d_theta=d_theta))
     assert calls == [curve.meta["orientations"]]
+
+
+def test_sweep_entry_points_build_no_clipper(monkeypatch):
+    # the sweeps read their sources' loops; only line-by-line checks clip
+    calls = []
+    init = geom.ConvexClipper.__init__
+
+    def counting(self, *args):
+        calls.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(geom.ConvexClipper, "__init__", counting)
+    tri = canonicalize_triangle(angles=np.radians([80.0, 70.0, 30.0]))
+    within_triangle_pdf(tri, FAST)
+    within_convex_pdf(square(0.5), FAST)
+    cross_pair_pdf(pair_from_angles(*CONVEX_PAIR_ANGLES), FAST)
+    polygon_pdd(tri, FAST)
+    assert calls == []
 
 
 def brute_force_pair_terms(pair, cfg):
