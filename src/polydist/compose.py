@@ -169,7 +169,7 @@ def polygon_pdd(poly: SimplePolygon | Triangle, cfg: KMConfig | None = None) -> 
         "area": poly.area,
         "pdf_values": pdf.values,
     }
-    return CdfCurve(pdf.d_max, pdf_to_cdf(pdf).values, meta)
+    return pdf_to_cdf(pdf, meta)
 
 
 def between_regions_pdd(part_a, part_b, cfg: KMConfig | None = None) -> CdfCurve:
@@ -196,7 +196,7 @@ def between_regions_pdd(part_a, part_b, cfg: KMConfig | None = None) -> CdfCurve
         "areas": [area_a, area_b],
         "pdf_values": pdf.values,
     }
-    return CdfCurve(d_max, pdf_to_cdf(pdf).values, meta)
+    return pdf_to_cdf(pdf, meta)
 
 
 @dataclass(frozen=True)
@@ -255,32 +255,39 @@ def ring_pdd(ring: RingSpec, cfg: KMConfig | None = None) -> dict[str, CdfCurve]
     pdf11, pdf22, pdf23, pdf33 = sweep_ring(
         PolygonSource(ring.outer.vertices, ring.hole.vertices),
         s1, s2, d_max, hull_diameter(ring.hole.vertices), cfg)
-    f11_vals, f23_vals, f33_vals = (pdf_to_cdf(pdf).values for pdf in (pdf11, pdf23, pdf33))
+
+    def meta(region, pdf):
+        return {"region": region, "areas": [s1, s2, s3], "pdf_values": pdf}
+
+    # the swept curves carry their meta from the start: each CDF is checked once
+    f11, f23, f33 = (pdf_to_cdf(pdf, meta(region, pdf.values)) for region, pdf in
+                     (("outer", pdf11), ("hole-ring", pdf23), ("ring", pdf33)))
     f22_vals = pdf_to_cdf(pdf22).evaluate(grid)
     f22_pdf = pdf22.evaluate(grid)
 
-    raw33 = (s1 * s1 * f11_vals - s2 * s2 * f22_vals
-             - 2.0 * s2 * s3 * f23_vals) / (s3 * s3)
-    defect = float(np.max(np.abs(raw33 - f33_vals)))
+    raw33 = (s1 * s1 * f11.values - s2 * s2 * f22_vals
+             - 2.0 * s2 * s3 * f23.values) / (s3 * s3)
+    defect = float(np.max(np.abs(raw33 - f33.values)))
     if defect > RING_SOLVE_TOL:
         raise DiagnosticError(
             f"ring solve: the solved F33 is {defect:.2e} from the swept one, beyond "
             f"{RING_SOLVE_TOL}; inputs inconsistent or resolution too coarse"
         )
 
-    def curve(region, cdf, pdf, **check):
-        return CdfCurve(d_max, cdf, {"region": region, "areas": [s1, s2, s3],
-                                     "pdf_values": pdf, **check})
+    f33.meta.update(raw_values=raw33, solve_defect=defect)
+
+    def curve(region, cdf, pdf):
+        return CdfCurve(d_max, cdf, meta(region, pdf))
 
     w2, w3 = s2 / s1, s3 / s1
     return {
-        "F11": curve("outer", f11_vals, pdf11.values),
+        "F11": f11,
         "F22": curve("hole", f22_vals, f22_pdf),
-        "F23": curve("hole-ring", f23_vals, pdf23.values),
-        "F33": curve("ring", f33_vals, pdf33.values, raw_values=raw33, solve_defect=defect),
-        "F12": curve("outer-hole", w2 * f22_vals + w3 * f23_vals,
+        "F23": f23,
+        "F33": f33,
+        "F12": curve("outer-hole", w2 * f22_vals + w3 * f23.values,
                      w2 * f22_pdf + w3 * pdf23.values),
-        "F13": curve("outer-ring", w2 * f23_vals + w3 * f33_vals,
+        "F13": curve("outer-ring", w2 * f23.values + w3 * f33.values,
                      w2 * pdf23.values + w3 * pdf33.values),
     }
 

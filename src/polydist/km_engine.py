@@ -29,16 +29,21 @@ its sign over its whole offset range and crosses the lines at a position
 affine in p.  Two edges interact only where their offset ranges overlap,
 and there |t_f - t_e| is affine too, since region edges do not cross: the
 p-integral of each pair's ramp is one closed-form piece, quadratic in d,
-binned exactly per grid node.  Within a region a sorted range query
-enumerates only the overlapping pairs, of which a polygon has about one per
-edge and orientation.  Between two regions every edge of A may meet every
-edge of B, so one broadcast mask over the A x B edge rectangle of a block
-of orientations finds them, with a few array calls per block in place of
-a sort.  The only discretization left is the orientation rule (composite
-Gauss-Legendre); it integrates P too, consistently with the pair terms.
+binned exactly per grid node.  Between two regions every edge of A may
+meet every edge of B, so one broadcast mask over the A x B edge rectangle
+of a block of orientations finds the overlapping pairs, with a few array
+calls per block in place of a sort.  A region of few edges (a triangle, a
+small polygon or ring, up to _MASK_EDGES) takes the same mask over its
+own edge square: a triangle sweeps in one block.  A larger region, whose
+n^2 candidates would outgrow its pairs (about one per edge and orientation
+for a polygon), sorts its offset ranges once per block and enumerates only
+the overlapping pairs with a range query.  The only discretization left is
+the orientation rule (composite Gauss-Legendre); it integrates P too,
+consistently with the pair terms.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -189,14 +194,16 @@ class CdfCurve:
         return np.interp(d, self.grid, self.values, left=0.0, right=float(self.values[-1]))
 
 
-def pdf_to_cdf(curve: DensityCurve) -> CdfCurve:
-    """Cumulative trapezoid integration of a density curve, clamped to [0, 1]."""
+def pdf_to_cdf(curve: DensityCurve, meta: dict | None = None) -> CdfCurve:
+    """Cumulative trapezoid integration of a density curve, clamped to [0, 1].
+
+    The CDF carries ``meta``, or a copy of the density's meta without it."""
     vals = curve.values
     dx = curve.d_max / (len(vals) - 1)
     steps = 0.5 * (vals[1:] + vals[:-1]) * dx
     cdf = np.concatenate([[0.0], np.cumsum(steps)])
     cdf = np.minimum(cdf, 1.0)
-    return CdfCurve(curve.d_max, cdf, dict(curve.meta))
+    return CdfCurve(curve.d_max, cdf, dict(curve.meta) if meta is None else meta)
 
 
 def trapezoid_kernel(l1, l2, l3, d):
@@ -383,34 +390,60 @@ _GAUSS_NODES = np.array([-0.8611363115940526, -0.3399810435848563,
                          0.3399810435848563, 0.8611363115940526])
 _GAUSS_WEIGHTS = np.array([0.3478548451374538, 0.6521451548625461,
                            0.6521451548625461, 0.3478548451374538])
-# A block of orientations projects about this many (orientation x edge) cells and bins
-# its edge pairs in chunks of about this many terms, about 0.6 MB in all.  At 8192 and
-# 4096, glibc gave the heap back after each sweep: 500 page faults per half-step pair.
+# A range-query block of orientations projects about this many (orientation x edge)
+# cells, and every sweep bins its edge pairs in chunks of about this many terms, about
+# 0.6 MB in all.  At 8192 and 4096, glibc gave the heap back after each sweep: 500 page
+# faults per half-step pair.
 _BLOCK_CELLS = 1 << 11
 _BLOCK_TERMS = 1 << 11
-# A between sweep's block tests about this many (orientation x A edge x B edge)
-# candidates, one byte of mask each: a triangle pair's 720 orientations, or 1440 at
-# half step, make one block.
+# A mask block tests about this many candidates, one byte of mask each: orientations
+# times A x B edges between two regions, or times n x n edges within a region of n.  A
+# triangle's 720 orientations, or 1440 at half step, make one block, and so do a
+# triangle pair's.
 _BLOCK_CANDIDATES = 1 << 16
+# A region of at most this many edges sweeps with the mask, a larger one with the range
+# query.  The mask pays for all n^2 candidates, the range query for a sort of 2n keys
+# and a few calls per pair chunk.  On regular n-gons (``_pair_sums``, best of 7, 2 vCPU)
+# the two broke even between 21 and 22 edges at KMConfig() (20: 3.60 ms mask, 3.88 ms
+# range; 24: 4.50 against 4.15 ms) and between 24 and 25 at a 1 degree step.  A triangle
+# sweep takes 0.63 ms with the mask and 0.87 ms with the range query, 1.36 ms at half
+# step.  A 64-gon took 27 ms with the mask and 12 ms with the range query, a 256-gon
+# 566 against 48 ms.
+_MASK_EDGES = 21
+
+
+def _cells(cfg: KMConfig) -> int:
+    """ceil(n/4) cells of the orientation rule, n = round(pi / d_theta)."""
+    return -(-max(1, int(round(math.pi / cfg.d_theta))) // 4)
 
 
 def _orientations(cfg: KMConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the orientation rule: ceil(n/4) equal cells of
-    [0, pi), four Gauss-Legendre nodes each, n = round(pi / d_theta)."""
-    n_theta = max(1, int(round(math.pi / cfg.d_theta)))
-    cells = -(-n_theta // 4)
+    """Nodes and weights of the orientation rule: ``_cells`` equal cells of
+    [0, pi), four Gauss-Legendre nodes each."""
+    cells = _cells(cfg)
     width = math.pi / cells
     theta = ((np.arange(cells)[:, None] + 0.5 * (1.0 + _GAUSS_NODES)) * width).ravel()
     return theta, np.tile(0.5 * width * _GAUSS_WEIGHTS, cells)
 
 
-def _blocks(size: int, budget: int, cfg: KMConfig):
+def _blocks(size: int, budget: int, cfg: KMConfig) -> tuple:
     """(exp(-i theta), weight) of the orientations, in equal blocks of about
     ``budget / size`` orientations each."""
+    n_theta = 4 * _cells(cfg)
+    return _rule_blocks(cfg, min(n_theta, -(-n_theta * size // budget)))
+
+
+@functools.lru_cache(maxsize=64)
+def _rule_blocks(cfg: KMConfig, n_blocks: int) -> tuple:
+    """The orientation rule split into ``n_blocks`` read-only blocks."""
     theta, weight = _orientations(cfg)
-    n = min(len(theta), -(-len(theta) * size // budget))
-    for th, w in zip(np.array_split(theta, n), np.array_split(weight, n)):
-        yield np.exp(-1j * th), w
+    weight.flags.writeable = False
+    blocks = []
+    for th, w in zip(np.array_split(theta, n_blocks), np.array_split(weight, n_blocks)):
+        rotation = np.exp(-1j * th)
+        rotation.flags.writeable = False
+        blocks.append((rotation, w))
+    return tuple(blocks)
 
 
 def _range_keys(table: np.ndarray, n_rows: int) -> np.ndarray:
@@ -444,37 +477,45 @@ def _pairs(start: np.ndarray, end: np.ndarray):
 
 def _overlaps(tab: np.ndarray, n_rows: int, n_a: int):
     """Index pairs (e, f) of the table's edges whose offset ranges overlap,
-    each pair once, in chunks of about _BLOCK_TERMS pairs: all pairs when
-    the first ``n_a`` edges of each orientation are all its edges, else e
+    each pair once, in chunks of about _BLOCK_TERMS pairs: e < f when the
+    first ``n_a`` edges of each orientation are all its edges, else e
     among them (in A) and f among the rest (in B).
 
-    Within one region a range query finds the partners of each edge from
-    the sorted range keys, at about one pair per edge.  Between two regions
-    a broadcast mask tests the whole A x B edge rectangle at once, with no
-    sort.  Its pairs run edge-pair-major, orientation innermost, so that one
-    pair's terms at neighbouring orientations are binned one after another:
-    in orientation-major order the rounding of the vanishing-hole ring's
-    F23 against ``sweep_ring`` reached 1.7e-12 of its peak.
+    A region of more than _MASK_EDGES edges finds the partners of each
+    edge from the sorted range keys, at about one pair per edge.  Any
+    other sweep tests its whole edge rectangle, A x B or the region's own
+    n x n with e < f, with one broadcast mask and no sort.  The mask's
+    pairs run edge-pair-major, orientation innermost, so that one pair's
+    terms at neighbouring orientations are binned one after another: in
+    orientation-major order the rounding of the vanishing-hole ring's F23
+    against ``sweep_ring`` reached 1.7e-12 of its peak.
     """
     n = tab.shape[1] // n_rows
-    if n_a == n:
+    if n_a == n > _MASK_EDGES:
         lo, hi = _range_keys(tab, n_rows)
         order = np.argsort(lo)
         # partners of the edge at sorted position i start later but below its hi
         for i, k in _pairs(np.arange(1, len(lo) + 1), np.searchsorted(lo[order], hi[order])):
             yield order[i], order[k]
         return
-    lo, hi = tab[:2].reshape(2, n_rows, n)
-    lo = np.where(lo < hi, lo, np.inf)  # a zero-width range overlaps nothing
-    lo_b, hi_b = lo[:, None, n_a:], hi[:, None, n_a:]
+    # (edge, orientation) rows, so that the mask is laid out pair-major
+    lo, hi = tab[:2].reshape(2, n_rows, n).transpose(0, 2, 1).copy()
+    lo[lo == hi] = np.inf  # a zero-width range overlaps nothing
+    # within one region f runs over every edge, and the mask keeps f > e
+    b = n_a if n_a < n else 0
+    later = np.arange(n)[:, None, None] < np.arange(n)[:, None] if b == 0 else None
+    lo_b, hi_b = lo[None, b:], hi[None, b:]
     # slices of A keep the mask near _BLOCK_CANDIDATES when one orientation exceeds it
-    step = max(1, _BLOCK_CANDIDATES // (n_rows * (n - n_a)))
+    step = max(1, _BLOCK_CANDIDATES // (n_rows * (n - b)))
     for first in range(0, n_a, step):
         a = slice(first, min(first + step, n_a))
-        lo_a, hi_a = lo[:, a, None], hi[:, a, None]
-        i, j, row = np.nonzero(((lo_a < hi_b) & (lo_b < hi_a)).transpose(1, 2, 0))
+        lo_a, hi_a = lo[a, None], hi[a, None]
+        hit = (lo_a < hi_b) & (lo_b < hi_a)
+        if later is not None:
+            hit &= later[a]
+        i, j, row = np.nonzero(hit)
         e = row * n + first + i
-        f = row * n + n_a + j
+        f = row * n + b + j
         for start in range(0, len(e), _BLOCK_TERMS):
             yield e[start:start + _BLOCK_TERMS], f[start:start + _BLOCK_TERMS]
 
@@ -503,8 +544,12 @@ def _pair_sums(edges, n_a: int, d_max: float, cfg: KMConfig,
         moments = _SlabMoments(cfg.grid_points, [d_max, d_max, d_max, holes_d_max])
         perimeter = np.zeros(2)
     counts = {"orientations": 0, "pair_terms": 0}
-    blocks = (_blocks(n, _BLOCK_CELLS, cfg) if n_a == n
-              else _blocks(n_a * (n - n_a), _BLOCK_CANDIDATES, cfg))
+    if n_a < n:
+        blocks = _blocks(n_a * (n - n_a), _BLOCK_CANDIDATES, cfg)
+    elif n <= _MASK_EDGES:
+        blocks = _blocks(n * n, _BLOCK_CANDIDATES, cfg)
+    else:
+        blocks = _blocks(n, _BLOCK_CELLS, cfg)
     for rotation, weight in blocks:
         tab = _project(edges, rotation, weight)
         counts["orientations"] += len(weight)

@@ -137,17 +137,18 @@ def test_sliver_ear_star_vs_mc():
 
 
 def test_polygon_and_ring_sweep_once_per_curve(monkeypatch):
+    # each sweep reads the orientation rule once, in blocks
     passes = []
-    orientations = km_engine._orientations
+    blocks = km_engine._blocks
 
-    def record(cfg):
+    def record(size, budget, cfg):
         passes.append(cfg)
-        return orientations(cfg)
+        return blocks(size, budget, cfg)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the default routes do not decompose into triangle pairs")
 
-    monkeypatch.setattr(km_engine, "_orientations", record)
+    monkeypatch.setattr(km_engine, "_blocks", record)
     monkeypatch.setattr(compose, "classify_pair", forbidden)
     monkeypatch.setattr(compose, "cross_pair_pdf", forbidden)
 
@@ -159,6 +160,26 @@ def test_polygon_and_ring_sweep_once_per_curve(monkeypatch):
     ring_pdd(ring, FAST)
     # F11, F22 and F23 from one pass over the orientation rule
     assert len(passes) == 1
+
+
+def test_swept_cdfs_are_checked_once(monkeypatch):
+    checks = []
+    post_init = CdfCurve.__post_init__
+
+    def counting(self):
+        checks.append(self.meta.get("region"))
+        post_init(self)
+
+    monkeypatch.setattr(CdfCurve, "__post_init__", counting)
+    polygon_pdd(L_SHAPE, FAST)
+    tris = triangulate(L_SHAPE)
+    between_regions_pdd(tris[:2], tris[2:], FAST)
+    assert checks == ["polygon", "between"]
+    checks.clear()
+    ring_pdd(RingSpec(square(0.5), square(0.3)), FAST)
+    # each of the six curves once, and F22 once more on the hole's own grid
+    # (None), from which it is resampled
+    assert checks == ["outer", "hole-ring", "ring", None, "hole", "outer-hole", "outer-ring"]
 
 
 def test_pentagon_pair_weights_group_by_congruence():

@@ -426,7 +426,8 @@ def test_cross_pair_matches_mc():
 
 @pytest.mark.parametrize("d_theta", [math.pi / 720, math.pi / 1440], ids=["default", "half-step"])
 def test_triangle_pair_projects_once(monkeypatch, d_theta):
-    # the 9 edge pairs of a triangle pair at every orientation fit one block
+    # the 9 edge pairs of a triangle pair, or of one triangle, at every
+    # orientation fit one block
     calls = []
     project = km_engine._project
 
@@ -435,8 +436,23 @@ def test_triangle_pair_projects_once(monkeypatch, d_theta):
         return project(*args)
 
     monkeypatch.setattr(km_engine, "_project", counting)
-    curve = cross_pair_pdf(pair_from_angles(*CONVEX_PAIR_ANGLES), KMConfig(d_theta=d_theta))
+    cfg = KMConfig(d_theta=d_theta)
+    curve = cross_pair_pdf(pair_from_angles(*CONVEX_PAIR_ANGLES), cfg)
     assert calls == [curve.meta["orientations"]]
+    calls.clear()
+    curve = within_triangle_pdf(canonicalize_triangle(angles=np.radians([80.0, 70.0, 30.0])), cfg)
+    assert calls == [curve.meta["orientations"]]
+
+
+def test_orientation_blocks_are_built_once_per_configuration():
+    first = km_engine._blocks(9, km_engine._BLOCK_CANDIDATES, KMConfig())
+    again = km_engine._blocks(9, km_engine._BLOCK_CANDIDATES, KMConfig())
+    assert again is first
+    theta, weight = km_engine._orientations(KMConfig())
+    for (rotation, w), th in zip(first, np.array_split(theta, len(first))):
+        assert not rotation.flags.writeable and not w.flags.writeable
+        np.testing.assert_array_equal(rotation, np.exp(-1j * th))
+    np.testing.assert_array_equal(np.concatenate([w for _, w in first]), weight)
 
 
 def test_sweep_entry_points_build_no_clipper(monkeypatch):
@@ -457,19 +473,22 @@ def test_sweep_entry_points_build_no_clipper(monkeypatch):
     assert calls == []
 
 
-def brute_force_pair_terms(pair, cfg):
-    """A x B edge pairs whose offset ranges overlap strictly, counted over
-    the orientation rule with plain loops."""
+def brute_force_pair_terms(cfg, loops_a, loops_b=None):
+    """Edge pairs whose offset ranges overlap strictly, counted over the
+    orientation rule with plain loops: e in A and f in B, or, without
+    ``loops_b``, e < f among the edges of A."""
     theta, _ = km_engine._orientations(cfg)
     count = 0
     for th in theta:
         sin, cos = math.sin(th), math.cos(th)
         ranges = []
-        for tri in (pair.tri_a, pair.tri_b):
-            p = [-x * sin + y * cos for x, y in tri.vertices.tolist()]
-            ranges.append([(min(p[k], p[k - 1]), max(p[k], p[k - 1])) for k in range(3)])
-        for lo_e, hi_e in ranges[0]:
-            for lo_f, hi_f in ranges[1]:
+        for loops in (loops_a, loops_b or []):
+            ranges.append([])
+            for loop in loops:
+                p = [-x * sin + y * cos for x, y in np.asarray(loop).tolist()]
+                ranges[-1] += [(min(p[k], p[k - 1]), max(p[k], p[k - 1])) for k in range(len(p))]
+        for e, (lo_e, hi_e) in enumerate(ranges[0]):
+            for lo_f, hi_f in ranges[1] if loops_b else ranges[0][e + 1:]:
                 if lo_e < hi_e and lo_f < hi_f and lo_e < hi_f and lo_f < hi_e:
                     count += 1
     return count
@@ -489,7 +508,26 @@ def test_between_sweep_bins_exactly_the_overlapping_edge_pairs():
                                        "shared_vertex", "disjoint"]
     for pair in pairs:
         curve = cross_pair_pdf(pair, KMConfig())
-        assert curve.meta["pair_terms"] == brute_force_pair_terms(pair, KMConfig())
+        assert curve.meta["pair_terms"] == brute_force_pair_terms(
+            KMConfig(), [pair.tri_a.vertices], [pair.tri_b.vertices])
+
+
+def test_within_sweep_bins_exactly_the_overlapping_edge_pairs():
+    # the triangle, the L and the square ring take the mask, the 30-vertex
+    # star the range query
+    star = star_vertices(30, 11)
+    assert 2 * len(square(0.5).vertices) <= km_engine._MASK_EDGES < len(star)
+    regions = [
+        [canonicalize_triangle(angles=np.radians([80.0, 70.0, 30.0])).vertices],
+        [np.array([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]], dtype=float)],
+        [square(0.5).vertices, square(0.3).vertices],
+        [star],
+    ]
+    for loops in regions:
+        source = PolygonSource(*loops)
+        area = SimplePolygon(loops[0]).area - sum(SimplePolygon(h).area for h in loops[1:])
+        curve = sweep_within(source, area, hull_diameter(loops[0]), FAST)
+        assert curve.meta["pair_terms"] == brute_force_pair_terms(FAST, source.loops)
 
 
 def test_between_sweep_in_slices_of_a_finds_the_same_pairs(monkeypatch):
@@ -506,6 +544,29 @@ def test_between_sweep_in_slices_of_a_finds_the_same_pairs(monkeypatch):
     assert sliced.meta["pair_terms"] == ref.meta["pair_terms"]
     np.testing.assert_allclose(sliced.values, ref.values, rtol=0.0,
                                atol=1e-12 * ref.values.max())
+
+
+def test_mask_and_range_query_find_the_same_pairs(monkeypatch):
+    # a 24-vertex star lies above the mask's edge limit and a 21-edge ring
+    # at it: each is swept both ways
+    star = SimplePolygon(star_vertices(24, 5))
+    outer = SimplePolygon(star_vertices(12, 3) * 2.0)
+    hole = approximate_disk((0.05, -0.02), 0.4, 9)
+    assert len(outer.vertices) + len(hole.vertices) <= km_engine._MASK_EDGES < len(star.vertices)
+
+    def sweeps():
+        ring = sweep_ring(PolygonSource(outer.vertices, hole.vertices), outer.area, hole.area,
+                          outer.diameter, hole.diameter, FAST)
+        return (sweep_within(PolygonSource(star.vertices), star.area, star.diameter, FAST),
+                *ring)
+
+    default = sweeps()
+    for limit in (0, 100):
+        monkeypatch.setattr(km_engine, "_MASK_EDGES", limit)
+        for got, want in zip(sweeps(), default):
+            assert got.meta["pair_terms"] == want.meta["pair_terms"]
+            np.testing.assert_allclose(got.values, want.values, rtol=0.0,
+                                       atol=1e-12 * want.values.max())
 
 
 # ---------------------------------------------------------------------------
