@@ -351,7 +351,7 @@ def _project(edges, rotation, weight) -> np.ndarray:
     it and -1 where they leave.
     """
     # endpoints as t + i s: position along the lines and offset
-    rot_a, rot_b = (np.outer(rotation, z[:, 0] + 1j * z[:, 1]) for z in edges)
+    rot_a, rot_b = (rotation[:, None] * (z[:, 0] + 1j * z[:, 1]) for z in edges)
     t_a, s_a, t_b, s_b = rot_a.real, rot_a.imag, rot_b.real, rot_b.imag
     # the interior lies left of the edge: behind it along the line when
     # the edge runs up in offset

@@ -341,7 +341,8 @@ class _SlabMoments:
         width = hi - lo
         wide = width >= dx
         nodes = ends.reshape(2, -1) / dx
-        np.clip(np.ceil(nodes, out=nodes), 0, self.n + 1, out=nodes)
+        # ends are |t_f - t_e| >= 0, so only the top bin clips
+        np.minimum(np.ceil(nodes, out=nodes), self.n + 1, out=nodes)
         idx = nodes.astype(np.intp).ravel()
         del nodes
         k_lo = idx[:m]
@@ -513,7 +514,8 @@ def _overlaps(tab: np.ndarray, n_rows: int, n_a: int):
         hit = (lo_a < hi_b) & (lo_b < hi_a)
         if later is not None:
             hit &= later[a]
-        i, j, row = np.nonzero(hit)
+        pair, row = np.divmod(np.flatnonzero(hit), n_rows)
+        i, j = np.divmod(pair, n - b)
         e = row * n + first + i
         f = row * n + b + j
         for start in range(0, len(e), _BLOCK_TERMS):
@@ -578,9 +580,8 @@ def _by_class(x, q: np.ndarray, row: np.ndarray):
 
 def _pair_terms(tab: np.ndarray, e: np.ndarray, f: np.ndarray):
     """|t_f - t_e| at both ends of the common offset range [p0, p1], and w s_e s_f (p0 - p1)."""
-    lo_e, hi_e, t_e, slope_e = tab[:4, e]
-    w_e = tab[5, e]
-    lo_f, hi_f, t_f, slope_f, s_f = tab[:5, f]
+    lo_e, hi_e, t_e, slope_e, _, w_e = np.take(tab, e, axis=1)
+    lo_f, hi_f, t_f, slope_f, s_f, _ = np.take(tab, f, axis=1)
     p0, p1 = np.maximum(lo_e, lo_f), np.minimum(hi_e, hi_f)
     x = [np.abs(t_f - t_e + slope_f * (p - lo_f) - slope_e * (p - lo_e)) for p in (p0, p1)]
     return x, w_e * s_f * (p0 - p1)
