@@ -16,6 +16,7 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -61,11 +62,11 @@ def _next(a: np.ndarray) -> np.ndarray:
 def _signed_area(vertices: np.ndarray) -> float:
     x = vertices[:, 0]
     y = vertices[:, 1]
-    return 0.5 * float(np.sum(x * _next(y) - _next(x) * y))
+    return 0.5 * float(np.add.reduce(x * _next(y) - _next(x) * y))
 
 
 def _feature_scale(vertices: np.ndarray) -> float:
-    span = np.ptp(vertices, axis=0)
+    span = vertices.max(axis=0) - vertices.min(axis=0)
     return float(max(span[0], span[1], 1e-300))
 
 
@@ -105,11 +106,12 @@ class Triangle:
             arr = arr[::-1]
         return cls(arr)
 
-    @property
+    # the vertices are read-only, so each figure is computed once
+    @functools.cached_property
     def area(self) -> float:
         return _signed_area(self.vertices)
 
-    @property
+    @functools.cached_property
     def side_lengths(self) -> tuple[float, float, float]:
         """Side lengths sorted descending (a, b, c)."""
         v = self.vertices
@@ -271,11 +273,11 @@ class SimplePolygon:
     def from_vertices(cls, points: Iterable) -> "SimplePolygon":
         return cls(_as_points(list(points)))
 
-    @property
+    @functools.cached_property
     def area(self) -> float:
         return _signed_area(self.vertices)
 
-    @property
+    @functools.cached_property
     def diameter(self) -> float:
         """Largest point-pair distance; attained at a vertex pair."""
         return _max_pair_distance(self.vertices, self.vertices)
