@@ -583,11 +583,13 @@ def _by_class(x, q: np.ndarray, row: np.ndarray):
 
 
 def _pair_terms(tab: np.ndarray, e: np.ndarray, f: np.ndarray):
-    """|t_f - t_e| at both ends of the common offset range [p0, p1], and w s_e s_f (p0 - p1)."""
+    """|t_f - t_e| at both ends of the common offset range [p0, p1] (rows
+    of one array), and w s_e s_f (p0 - p1)."""
     lo_e, hi_e, t_e, slope_e, _, w_e = np.take(tab, e, axis=1)
     lo_f, hi_f, t_f, slope_f, s_f, _ = np.take(tab, f, axis=1)
-    p0, p1 = np.maximum(lo_e, lo_f), np.minimum(hi_e, hi_f)
-    x = [np.abs(t_f - t_e + slope_f * (p - lo_f) - slope_e * (p - lo_e)) for p in (p0, p1)]
+    p = np.empty((2, len(e)))
+    p0, p1 = np.maximum(lo_e, lo_f, out=p[0]), np.minimum(hi_e, hi_f, out=p[1])
+    x = np.abs(t_f - t_e + slope_f * (p - lo_f) - slope_e * (p - lo_e))
     return x, w_e * s_f * (p0 - p1)
 
 
