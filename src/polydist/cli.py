@@ -39,6 +39,7 @@ from .geom import (
     hull_diameter,
 )
 from .km_engine import (
+    D_THETA_MAX,
     DensityCurve,
     DiagnosticError,
     KMConfig,
@@ -399,7 +400,11 @@ def build_parser() -> argparse.ArgumentParser:
 def job_from_args(args: argparse.Namespace) -> JobSpec:
     km_kwargs = {}
     if args.dtheta is not None:
+        # checked here, so that the error names the flag's own unit
         km_kwargs["d_theta"] = math.radians(args.dtheta)
+        if not 0.0 < km_kwargs["d_theta"] <= D_THETA_MAX:
+            raise ValueError(f"--dtheta must lie in (0, {math.degrees(D_THETA_MAX):g}] degrees, "
+                             f"got {args.dtheta:g}")
     if args.grid is not None:
         km_kwargs["grid_points"] = args.grid
     mc_kwargs = {}

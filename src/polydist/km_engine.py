@@ -62,6 +62,12 @@ from .geom import (
 
 NORMALIZATION_TOL = 5e-3
 CDF_TAIL_MIN = 0.995
+# Coarsest orientation step, radians (2 degrees).
+D_THETA_MAX = math.pi / 90.0
+# Most grid cells: the sweep keeps four coefficient rows of n + 2 bins per
+# curve it bins (four curves for a ring), and a 2^20-cell curve already costs
+# hundreds of MB; no caller needs more than a few thousand cells.
+GRID_POINTS_MAX = 1 << 20
 
 
 class DiagnosticError(RuntimeError):
@@ -85,8 +91,8 @@ class KMConfig:
     d_p       unused: the sweep integrates offsets exactly.  Still
               accepted and validated, because acceptance test 7 passes
               it positionally and test 8 reads ``default.d_p``.
-    grid_points  number N of grid cells; curves carry N+1 samples at
-              d_k = k * d_max / N.
+    grid_points  number N of grid cells, 50 <= N <= GRID_POINTS_MAX; curves
+              carry N+1 samples at d_k = k * d_max / N.
     """
 
     d_theta: float = math.pi / 720.0
@@ -94,13 +100,14 @@ class KMConfig:
     grid_points: int = 500
 
     def __post_init__(self):
-        if not 0.0 < self.d_theta <= math.pi / 90.0:
+        if not 0.0 < self.d_theta <= D_THETA_MAX:
             raise ValueError(f"d_theta must lie in (0, pi/90], got {self.d_theta}")
         if not 0.0 < self.d_p <= 1.0 / 200.0:
             raise ValueError(f"d_p must lie in (0, 1/200], got {self.d_p}")
         _require_integer("grid_points", self.grid_points)
-        if self.grid_points < 50:
-            raise ValueError(f"grid_points must be >= 50, got {self.grid_points}")
+        if not 50 <= self.grid_points <= GRID_POINTS_MAX:
+            raise ValueError(f"grid_points must lie in [50, {GRID_POINTS_MAX}] "
+                             f"(2^20), got {self.grid_points}")
 
 
 def _grid(d_max: float, n: int) -> np.ndarray:
@@ -583,13 +590,11 @@ def _by_class(x, q: np.ndarray, row: np.ndarray):
 
 
 def _pair_terms(tab: np.ndarray, e: np.ndarray, f: np.ndarray):
-    """|t_f - t_e| at both ends of the common offset range [p0, p1] (rows
-    of one array), and w s_e s_f (p0 - p1)."""
+    """|t_f - t_e| at both ends of the common offset range [p0, p1], and w s_e s_f (p0 - p1)."""
     lo_e, hi_e, t_e, slope_e, _, w_e = np.take(tab, e, axis=1)
     lo_f, hi_f, t_f, slope_f, s_f, _ = np.take(tab, f, axis=1)
-    p = np.empty((2, len(e)))
-    p0, p1 = np.maximum(lo_e, lo_f, out=p[0]), np.minimum(hi_e, hi_f, out=p[1])
-    x = np.abs(t_f - t_e + slope_f * (p - lo_f) - slope_e * (p - lo_e))
+    p0, p1 = np.maximum(lo_e, lo_f), np.minimum(hi_e, hi_f)
+    x = [np.abs(t_f - t_e + slope_f * (p - lo_f) - slope_e * (p - lo_e)) for p in (p0, p1)]
     return x, w_e * s_f * (p0 - p1)
 
 

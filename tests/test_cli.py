@@ -12,7 +12,7 @@ import pytest
 
 from polydist import (KMConfig, RingSpec, SimplePolygon, pdf_to_cdf, ring_pdd,
                       within_triangle_pdf, canonicalize_triangle)
-from polydist import cli, compose
+from polydist import cli, compose, km_engine
 from polydist.cli import main
 from polydist.km_engine import DiagnosticError
 
@@ -291,6 +291,19 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         capsys.readouterr()
         assert main(["polygon", "--geometry", str(bad), *FAST_FLAGS]) == 2
         assert "non-finite" in capsys.readouterr().err
+
+
+def test_resolution_flags_out_of_range_exit_two_in_their_own_units(capsys):
+    # --dtheta is degrees, and so is its error; it once reported radians
+    for value in ("3", "0", "-1", "nan"):
+        assert main(["triangle", "--angles", "80,70,30", "--dtheta", value]) == 2
+        err = capsys.readouterr().err
+        assert "--dtheta must lie in (0, 2] degrees" in err
+        assert "radians" not in err and "pi/90" not in err
+    # a grid beyond the bound is refused before any array is allocated
+    too_many = str(km_engine.GRID_POINTS_MAX + 1)
+    assert main(["triangle", "--angles", "80,70,30", "--grid", too_many]) == 2
+    assert str(km_engine.GRID_POINTS_MAX) in capsys.readouterr().err
 
 
 def test_diagnostic_failures_exit_three(tmp_path, monkeypatch, capsys):

@@ -76,6 +76,10 @@ def test_config_defaults_and_bounds():
         KMConfig(d_p=1.0 / 100)
     with pytest.raises(ValueError):
         KMConfig(grid_points=49)
+    # a grid is bounded above too, before any sweep allocates its bins
+    assert KMConfig(grid_points=km_engine.GRID_POINTS_MAX).grid_points == 1 << 20
+    with pytest.raises(ValueError, match=str(km_engine.GRID_POINTS_MAX)):
+        KMConfig(grid_points=km_engine.GRID_POINTS_MAX + 1)
 
 
 def test_config_grid_points_must_be_an_integer():
@@ -473,25 +477,37 @@ def test_sweep_entry_points_build_no_clipper(monkeypatch):
     assert calls == []
 
 
-def brute_force_pair_terms(cfg, loops_a, loops_b=None):
-    """Edge pairs whose offset ranges overlap strictly, counted over the
+def brute_force_pair_terms(cfg, loops_a, loops_b=None, blocks=None):
+    """Edge pairs whose offset ranges overlap strictly, found over the
     orientation rule with plain loops: e in A and f in B, or, without
-    ``loops_b``, e < f among the edges of A."""
+    ``loops_b``, e < f among the edges of A.
+
+    Returns the pairs as (e, f, orientation) triples, the edges numbered
+    over A's loops and then B's, in the order the mask enumerates them:
+    by block of orientations (``blocks``, their sizes; default one block),
+    then by e, by f and by orientation."""
     theta, _ = km_engine._orientations(cfg)
-    count = 0
+    ranges = []
     for th in theta:
         sin, cos = math.sin(th), math.cos(th)
-        ranges = []
-        for loops in (loops_a, loops_b or []):
-            ranges.append([])
-            for loop in loops:
-                p = [-x * sin + y * cos for x, y in np.asarray(loop).tolist()]
-                ranges[-1] += [(min(p[k], p[k - 1]), max(p[k], p[k - 1])) for k in range(len(p))]
-        for e, (lo_e, hi_e) in enumerate(ranges[0]):
-            for lo_f, hi_f in ranges[1] if loops_b else ranges[0][e + 1:]:
-                if lo_e < hi_e and lo_f < hi_f and lo_e < hi_f and lo_f < hi_e:
-                    count += 1
-    return count
+        ranges.append([])
+        for loop in list(loops_a) + list(loops_b or []):
+            p = [-x * sin + y * cos for x, y in np.asarray(loop).tolist()]
+            # edge k runs from vertex k to vertex k + 1
+            ranges[-1] += [(min(p[k], p[k - len(p) + 1]), max(p[k], p[k - len(p) + 1]))
+                           for k in range(len(p))]
+    n_a = sum(len(loop) for loop in loops_a)
+    n = len(ranges[0])
+    found, first = [], 0
+    for size in blocks or [len(theta)]:
+        for e in range(n_a):
+            for f in range(n_a, n) if loops_b else range(e + 1, n):
+                for k in range(first, first + size):
+                    (lo_e, hi_e), (lo_f, hi_f) = ranges[k][e], ranges[k][f]
+                    if lo_e < hi_e and lo_f < hi_f and lo_e < hi_f and lo_f < hi_e:
+                        found.append((e, f, k))
+        first += size
+    return found
 
 
 def test_between_sweep_bins_exactly_the_overlapping_edge_pairs():
@@ -508,8 +524,8 @@ def test_between_sweep_bins_exactly_the_overlapping_edge_pairs():
                                        "shared_vertex", "disjoint"]
     for pair in pairs:
         curve = cross_pair_pdf(pair, KMConfig())
-        assert curve.meta["pair_terms"] == brute_force_pair_terms(
-            KMConfig(), [pair.tri_a.vertices], [pair.tri_b.vertices])
+        assert curve.meta["pair_terms"] == len(brute_force_pair_terms(
+            KMConfig(), [pair.tri_a.vertices], [pair.tri_b.vertices]))
 
 
 def test_within_sweep_bins_exactly_the_overlapping_edge_pairs():
@@ -527,7 +543,71 @@ def test_within_sweep_bins_exactly_the_overlapping_edge_pairs():
         source = PolygonSource(*loops)
         area = SimplePolygon(loops[0]).area - sum(SimplePolygon(h).area for h in loops[1:])
         curve = sweep_within(source, area, hull_diameter(loops[0]), FAST)
-        assert curve.meta["pair_terms"] == brute_force_pair_terms(FAST, source.loops)
+        assert curve.meta["pair_terms"] == len(brute_force_pair_terms(FAST, source.loops))
+
+
+def recorded_pair_sequence(monkeypatch, sweep):
+    """Run ``sweep`` and return the (e, f, orientation) triples of the edge
+    pairs its ``_overlaps`` chunks yield, concatenated in order, with the
+    sizes of its orientation blocks and of its chunks."""
+    overlaps = km_engine._overlaps
+    seen, blocks, chunks = [], [], []
+
+    def recording(tab, n_rows, n_a):
+        n, first = tab.shape[1] // n_rows, sum(blocks)
+        blocks.append(n_rows)
+        for e, f in overlaps(tab, n_rows, n_a):
+            # table columns run over (orientation, edge)
+            assert np.array_equal(e // n, f // n)
+            seen.extend(zip((e % n).tolist(), (f % n).tolist(), (first + e // n).tolist()))
+            chunks.append(len(e))
+            yield e, f
+
+    monkeypatch.setattr(km_engine, "_overlaps", recording)
+    sweep()
+    monkeypatch.setattr(km_engine, "_overlaps", overlaps)
+    return seen, blocks, chunks
+
+
+def test_mask_enumerates_pairs_by_edge_pair_then_orientation(monkeypatch):
+    # the bins' rounding depends on the order and grouping of the pair terms,
+    # so the mask's sequence is pinned against plain loops
+    from polydist import triangulate
+
+    tri = canonicalize_triangle(angles=np.radians([80.0, 70.0, 30.0]))
+    ell = SimplePolygon(np.array([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]], dtype=float))
+    pair = pair_from_angles(*CONVEX_PAIR_ANGLES)
+    fan = triangulate(approximate_disk((0.0, 0.0), 1.0, 24))
+    coarse = KMConfig(d_theta=math.pi / 180, grid_points=100)
+    regions = [(KMConfig(), tri, None, None), (FAST, ell, None, None),
+               (KMConfig(), [pair.tri_a], [pair.tri_b], pair.max_distance),
+               # fan halves, 33 x 33 edges, with A sliced at every orientation
+               (coarse, fan[:11], fan[11:], 2.0)]
+    for cfg, part_a, part_b, d_max in regions:
+        if part_b is None:
+            source = PolygonSource(part_a.vertices)
+            loops_a, loops_b = source.loops, None
+
+            def sweep():
+                return sweep_within(source, part_a.area, part_a.diameter, cfg)
+        else:
+            source_a, source_b = UnionSource(part_a), UnionSource(part_b)
+            loops_a, loops_b = source_a.loops, source_b.loops
+            areas = [sum(t.area for t in part) for part in (part_a, part_b)]
+
+            def sweep():
+                return sweep_between(source_a, areas[0], source_b, areas[1], d_max, cfg)
+        sliced = len(loops_a) > 1
+        if sliced:
+            monkeypatch.setattr(km_engine, "_BLOCK_CANDIDATES", 256)
+        seen, blocks, chunks = recorded_pair_sequence(monkeypatch, sweep)
+        assert seen == brute_force_pair_terms(cfg, loops_a, loops_b, blocks)
+        assert max(chunks) <= km_engine._BLOCK_TERMS
+        if sliced:
+            # one orientation per block, and slices of A within it
+            assert set(blocks) == {1} and len(chunks) > len(blocks)
+        else:
+            assert len(blocks) == 1
 
 
 def test_between_sweep_in_slices_of_a_finds_the_same_pairs(monkeypatch):
@@ -567,6 +647,63 @@ def test_mask_and_range_query_find_the_same_pairs(monkeypatch):
             assert got.meta["pair_terms"] == want.meta["pair_terms"]
             np.testing.assert_allclose(got.values, want.values, rtol=0.0,
                                        atol=1e-12 * want.values.max())
+
+
+def mean_ramp_terms(rng, m, dx, d_max):
+    """Ramp terms (x, q) of every kind the binning tells apart, shuffled:
+    wide (w >= dx), narrow with a node inside [lo, hi) and with none, zero
+    width, and ranges reaching or lying beyond d_max.  x's two rows are in
+    either order."""
+    node = rng.integers(1, round(d_max / dx), m) * dx
+    kind = rng.integers(0, 5, m)
+    lo = np.select([kind == 0, kind == 1, kind == 2, kind == 3],
+                   [rng.uniform(0.0, d_max, m), node - rng.uniform(0.05, 0.95, m) * dx,
+                    node + rng.uniform(0.05, 0.45, m) * dx, rng.uniform(0.0, d_max, m)],
+                   rng.uniform(d_max - dx, d_max + 3.0 * dx, m))
+    width = np.select([kind == 0, kind == 1, kind == 2, kind == 3],
+                      [rng.uniform(1.0, 8.0, m) * dx, rng.uniform(0.96, 0.999, m) * dx,
+                       rng.uniform(0.05, 0.5, m) * dx, 0.0], rng.uniform(0.0, 3.0, m) * dx)
+    x = np.array([lo, lo + width])
+    flip = rng.random(m) < 0.5
+    x[:, flip] = x[::-1, flip]
+    return x, rng.normal(size=m)
+
+
+def mean_ramp_at(d, x, q):
+    """q ((d - lo)_+^2 - (d - hi)_+^2) / (2w), or q (d - lo)_+ when w = 0,
+    summed over the terms at each node d; written piecewise, without the
+    cancellation of the two squares."""
+    lo, hi = np.minimum(*x)[:, None], np.maximum(*x)[:, None]
+    width = np.where(hi > lo, hi - lo, 1.0)
+    ramp = np.where(d >= hi, d - 0.5 * (lo + hi),
+                    np.where(d > lo, (d - lo) ** 2 / (2.0 * width), 0.0))
+    return q @ ramp
+
+
+def test_slab_moments_sum_every_ramp_exactly_at_every_node():
+    rng = np.random.default_rng(2025)
+    n, d_max = 80, 2.5
+    dx = d_max / n
+    x, q = mean_ramp_terms(rng, 3000, dx, d_max)
+    moments = km_engine._SlabMoments(n, d_max)
+    # in chunks, as the sweep bins them
+    for part in np.array_split(np.arange(len(q)), 3):
+        moments.add_up(x[:, part], q[part])
+    (got,) = moments.node_sums()
+    want = mean_ramp_at(np.arange(n + 1) * dx, x, q)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    # stacked sums over their own grids, each term binned into its row
+    d_maxes = [d_max, 1.7]
+    rows = rng.integers(0, 2, len(q))
+    x2, _ = mean_ramp_terms(rng, len(q), 1.7 / n, 1.7)
+    x = np.where(rows == 0, x, x2)
+    moments = km_engine._SlabMoments(n, d_maxes)
+    moments.add_up(x, q, rows)
+    sums = moments.node_sums()
+    for r, top in enumerate(d_maxes):
+        want = mean_ramp_at(np.arange(n + 1) * (top / n), x[:, rows == r], q[rows == r])
+        assert np.max(np.abs(sums[r] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
