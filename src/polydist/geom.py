@@ -60,9 +60,9 @@ def _next(a: np.ndarray) -> np.ndarray:
 
 
 def _signed_area(vertices: np.ndarray) -> float:
-    x = vertices[:, 0]
-    y = vertices[:, 1]
-    return 0.5 * float(np.add.reduce(x * _next(y) - _next(x) * y))
+    following = _next(vertices)
+    x, y = vertices[:, 0], vertices[:, 1]
+    return 0.5 * float(np.add.reduce(x * following[:, 1] - following[:, 0] * y))
 
 
 def _feature_scale(vertices: np.ndarray) -> float:
@@ -90,13 +90,14 @@ class Triangle:
         arr = _as_points(self.vertices)
         if arr.shape[0] != 3:
             raise GeometryError("a triangle has exactly 3 vertices")
-        area2 = _signed_area(arr) * 2.0
+        area = _signed_area(arr)
         scale = _feature_scale(arr)
-        if area2 <= EPS_CROSS * scale * scale:
+        if area * 2.0 <= EPS_CROSS * scale * scale:
             raise GeometryError("triangle is degenerate (zero or negative area)")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "vertices", arr)
+        object.__setattr__(self, "area", area)  # fills the cached property
 
     @classmethod
     def from_vertices(cls, p0, p1, p2) -> "Triangle":

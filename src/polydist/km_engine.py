@@ -302,7 +302,7 @@ def _oriented(vertices, ccw: bool) -> np.ndarray:
 def _edges(*sources) -> tuple[np.ndarray, np.ndarray]:
     """Start and end points of every edge of the sources' loops."""
     loops = [loop for source in sources for loop in source.loops]
-    return np.vstack(loops), np.vstack([_next(loop) for loop in loops])
+    return np.concatenate(loops), np.concatenate([_next(loop) for loop in loops])
 
 
 # ---------------------------------------------------------------------------
