@@ -353,18 +353,21 @@ def _project(edges, rotation, weight) -> np.ndarray:
     t + slope * (p - lo); sign is +1 where lines enter the region through
     it and -1 where they leave.
     """
-    # endpoints as t + i s: position along the lines and offset
-    rot_a, rot_b = (rotation[:, None] * (z[:, 0] + 1j * z[:, 1]) for z in edges)
-    t_a, s_a, t_b, s_b = rot_a.real, rot_a.imag, rot_b.real, rot_b.imag
-    # the interior lies left of the edge: behind it along the line when
-    # the edge runs up in offset
-    up = s_b > s_a
-    width = np.abs(s_b - s_a)
-    slope = np.where(up, t_b - t_a, t_a - t_b) / np.where(width > 0.0, width, 1.0)
+    # endpoints as t + i s, position along the lines and offset: one row
+    # for the start points and one for the end points, each over
+    # (orientation, edge)
+    z = rotation[:, None] * np.array([p[:, 0] + 1j * p[:, 1] for p in edges])[:, None]
+    t, s = z.real, z.imag
+    # each row pair reordered by offset, (lower end, upper end); the interior
+    # lies left of the edge: behind it along the line when the edge runs up
+    up = s[1] > s[0]
+    lo_hi = np.where(up, s, s[::-1])
+    t_lo_hi = np.where(up, t, t[::-1])
+    width = lo_hi[1] - lo_hi[0]
+    slope = (t_lo_hi[1] - t_lo_hi[0]) / np.where(width > 0.0, width, 1.0)
     sign = np.where(up, -1.0, 1.0)
-    return np.stack([np.where(up, s_a, s_b), np.where(up, s_b, s_a),
-                     np.where(up, t_a, t_b), slope, sign, sign * weight[:, None]]
-                    ).reshape(6, -1)
+    return np.concatenate([lo_hi, t_lo_hi[:1], slope[None], sign[None],
+                           (sign * weight[:, None])[None]]).reshape(6, -1)
 
 
 class ConvexClipper:
