@@ -64,9 +64,10 @@ NORMALIZATION_TOL = 5e-3
 CDF_TAIL_MIN = 0.995
 # Coarsest orientation step, radians (2 degrees).
 D_THETA_MAX = math.pi / 90.0
-# Most grid cells: the sweep keeps four coefficient rows of n + 2 bins per
-# curve it bins (four curves for a ring), and a 2^20-cell curve already costs
-# hundreds of MB; no caller needs more than a few thousand cells.
+# Most grid cells.  A sweep keeps four rows of n + 2 bins per curve it bins
+# (four curves for a ring), and its peak memory grew by about 90 bytes a cell
+# for a triangle's pdf and cdf and 330 for a ring's curves (ru_maxrss, 2^14 to
+# 2^16 cells): about 100 and 350 MB at this bound, tens of GB at 10^8 cells.
 GRID_POINTS_MAX = 1 << 20
 
 
@@ -405,7 +406,10 @@ _GAUSS_WEIGHTS = np.array([0.3478548451374538, 0.6521451548625461,
 # A range-query block of orientations projects about this many (orientation x edge)
 # cells, and every sweep bins its edge pairs in chunks of about this many terms, about
 # 0.6 MB in all.  At 8192 and 4096, glibc gave the heap back after each sweep: 500 page
-# faults per half-step pair.
+# faults per half-step pair.  The bins add up each chunk's terms in pair order, so the
+# pair order and the chunk boundaries fix the rounding of every curve: these constants,
+# _BLOCK_CANDIDATES and _MASK_EDGES set the output bits.  Chunks of 8192 moved rounding-
+# level gaps between two routes over one sum (about 5e-14 of a CDF) by up to 50%.
 _BLOCK_CELLS = 1 << 11
 _BLOCK_TERMS = 1 << 11
 # A mask block tests about this many candidates, one byte of mask each: orientations
@@ -415,12 +419,14 @@ _BLOCK_TERMS = 1 << 11
 _BLOCK_CANDIDATES = 1 << 16
 # A region of at most this many edges sweeps with the mask, a larger one with the range
 # query.  The mask pays for all n^2 candidates, the range query for a sort of 2n keys
-# and a few calls per pair chunk.  On regular n-gons (``_pair_sums``, best of 7, 2 vCPU)
-# the two broke even between 21 and 22 edges at KMConfig() (20: 3.60 ms mask, 3.88 ms
-# range; 24: 4.50 against 4.15 ms) and between 24 and 25 at a 1 degree step.  A triangle
-# sweep takes 0.63 ms with the mask and 0.87 ms with the range query, 1.36 ms at half
-# step.  A 64-gon took 27 ms with the mask and 12 ms with the range query, a 256-gon
-# 566 against 48 ms.
+# and a few calls per pair chunk.  On regular n-gons (``_pair_sums``, best of 7, 2 vCPU,
+# numpy 2.4) the two break even between 40 and 44 edges, at KMConfig() and at a 1 degree
+# step (KMConfig(): 20 edges 3.29 ms mask, 5.28 ms range; 40: 9.62 against 10.08 ms;
+# 44: 10.60 against 10.39 ms).  A 64-gon takes 21.9 ms with the mask and 15.1 ms with
+# the range query, a 256-gon 234 against 46 ms.  The limit stays below that break-even:
+# moving it would reorder the pair terms, and so change the rounding, of every region
+# between the old and the new limit.  A triangle's ``within_triangle_pdf`` takes
+# 0.55 ms with the mask and 1.1 ms with the range query.
 _MASK_EDGES = 21
 
 
@@ -500,7 +506,9 @@ def _overlaps(tab: np.ndarray, n_rows: int, n_a: int):
     pairs run edge-pair-major, orientation innermost, so that one pair's
     terms at neighbouring orientations are binned one after another: in
     orientation-major order the rounding of the vanishing-hole ring's F23
-    against ``sweep_ring`` reached 1.7e-12 of its peak.
+    against ``sweep_ring`` reached 1.7e-12 of its peak.  The bins add the
+    terms in the order given here, so this order and the chunk grouping
+    fix the rounding of every curve; a test pins the mask's sequence.
     """
     n = tab.shape[1] // n_rows
     if n_a == n > _MASK_EDGES:
