@@ -356,19 +356,18 @@ class _SlabMoments:
         # ends are |t_f - t_e| >= 0, so only the top bin clips
         np.minimum(np.ceil(nodes, out=nodes), self.n + 1, out=nodes)
         idx = nodes.astype(np.intp).ravel()
-        del nodes
+        if row is not None:
+            ends_idx = idx.reshape(2, -1)  # a view: offsets both ends in place
+            ends_idx += row * (self.n + 2)
         k_lo = idx[:m]
         # narrow terms with a node on their quadratic part; most chunks of a
         # triangle have none
         hit = ~wide & (k_lo != idx[m:])
         if hit.any():
-            gap = lo[hit] - k_lo[hit] * (dx if row is None else dx[hit])
-            k = k_lo[hit] if row is None else k_lo[hit] + row[hit] * (self.n + 2)
-            self._direct += np.bincount(k, weights=q[hit] * gap * gap / (2.0 * width[hit]),
+            gap = lo[hit] - nodes[0][hit] * (dx if row is None else dx[hit])
+            self._direct += np.bincount(k_lo[hit], weights=q[hit] * gap * gap / (2.0 * width[hit]),
                                         minlength=len(self._direct))
-        if row is not None:
-            ends_idx = idx.reshape(2, -1)  # a view: offsets both ends in place
-            ends_idx += row * (self.n + 2)
+        del nodes
         # c (d - lo)^2 from lo's node on, minus c (d - hi)^2 from hi's node on;
         # narrow terms: the linear limit d - (lo + hi)/2 from hi's node on.
         # Each coefficient row is binned as soon as it is formed.
