@@ -333,9 +333,9 @@ def _angles_arg(text: str) -> list[float]:
 
 def _add_numeric_flags(sub, with_method=True):
     sub.add_argument("--dtheta", type=float, default=None,
-                     help="orientation step in degrees (default 0.25)")
+                     help="orientation step in degrees, at most 2 (default 0.25)")
     sub.add_argument("--grid", type=int, default=None,
-                     help="number of output grid cells (default 500)")
+                     help="number of output grid cells, 50 to 2^20 (default 500)")
     sub.add_argument("--samples", type=int, default=None,
                      help="Monte Carlo pair count (default 50000)")
     sub.add_argument("--seed", type=int, default=None,
