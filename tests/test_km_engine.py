@@ -494,8 +494,8 @@ def brute_force_pair_terms(cfg, loops_a, loops_b=None, blocks=None):
         for loop in list(loops_a) + list(loops_b or []):
             p = [-x * sin + y * cos for x, y in np.asarray(loop).tolist()]
             # edge k runs from vertex k to vertex k + 1
-            ranges[-1] += [(min(p[k], p[k - len(p) + 1]), max(p[k], p[k - len(p) + 1]))
-                           for k in range(len(p))]
+            ends = [(p[k], p[(k + 1) % len(p)]) for k in range(len(p))]
+            ranges[-1] += [(min(a, b), max(a, b)) for a, b in ends]
     n_a = sum(len(loop) for loop in loops_a)
     n = len(ranges[0])
     found, first = [], 0
