@@ -2,6 +2,7 @@
 
 from .geom import (
     GeometryError,
+    HollowRegion,
     SimplePolygon,
     Triangle,
     canonicalize_triangle,
@@ -30,7 +31,7 @@ from .compose import (
     scale_curve,
     weighted_mixture,
 )
-from .mc_oracle import EmpiricalCdf, HollowRegion, SampleConfig, ks_distance, pdd_mc
+from .mc_oracle import EmpiricalCdf, SampleConfig, ks_distance, pdd_mc
 
 __version__ = "0.1.0"
 

@@ -30,9 +30,10 @@ import numpy as np
 
 from . import __version__
 from .closed_form import TriangleParams, closed_form_curve
-from .compose import polygon_pdd, ring_pdd, RingSpec, scale_curve
+from .compose import polygon_pdd, ring_pdd, scale_curve
 from .geom import (
     GeometryError,
+    HollowRegion,
     Triangle,
     classify_pair,
     geometry_from_spec,
@@ -269,7 +270,7 @@ def _run_check(job: JobSpec) -> int:
 
 
 def _run_ring(job: JobSpec) -> int:
-    ring = RingSpec(geometry_from_spec(job.outer), geometry_from_spec(job.hole))
+    ring = HollowRegion(geometry_from_spec(job.outer), geometry_from_spec(job.hole))
     curves = ring_pdd(ring, job.km)
     out_dir = job.out or "."
     os.makedirs(out_dir, exist_ok=True)

@@ -2,14 +2,16 @@
 
 A polygon's distance curve is one sweep over its edges, and the curve
 between two triangulated regions one sweep between their triangles'
-loops.  A ring (outer minus hole) takes one sweep over its loops, which
-bins each edge pair once by class (outer-outer, hole-hole, outer-hole) and
-gives the outer, hole, hole-to-ring and ring-only curves.  The scaling law
-maps any normalized curve to an arbitrary size.
+loops.  A ring is a ``geom.HollowRegion`` with a polygonal hole
+(``RingSpec`` is its name here); the Monte Carlo oracle samples the same
+object.  It takes one sweep over its loops, which bins each edge pair once
+by class (outer-outer, hole-hole, outer-hole) and gives the outer, hole,
+hole-to-ring and ring-only curves.  The scaling law maps any normalized
+curve to an arbitrary size.
 
 The paper's decompositions stay as cross-check routes.  A triangulated
 region's curve is the probabilistic sum over all ordered triangle pairs
-(``RegionPartition``),
+(``RegionPartition``, mixed by ``weighted_mixture``),
 
     F = sum_i sum_j (S_i * S_j / S**2) * F_ij,
 
@@ -26,11 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import (
+    Disk,
     GeometryError,
+    HollowRegion,
     SimplePolygon,
     Triangle,
     check_pairs,
-    check_ring,
     classify_pair,
     hull_diameter,
 )
@@ -65,61 +68,39 @@ RING_SOLVE_TOL = 5e-3
 
 @dataclass(frozen=True, eq=False)
 class RegionPartition:
-    """Triangulated region with all pairwise distance curves.
+    """Triangulated region with all pairwise distance CDFs.
 
     ``cdf(i, j)`` is symmetric; every curve lives on the shared grid
-    spanning [0, d_max].  ``pdf_values(i, j)`` carries the matching
-    densities for plot output.
+    spanning [0, d_max].
     """
 
     triangles: tuple[Triangle, ...]
     areas: np.ndarray
     total_area: float
     d_max: float
-    grid: np.ndarray
     _cdfs: dict
-    _pdfs: dict
 
     def __post_init__(self):
         if abs(self.areas.sum() - self.total_area) > 1e-10 * self.total_area:
             raise GeometryError("partition areas do not sum to the region area")
 
     @classmethod
-    def from_triangles(cls, triangles, cfg: KMConfig | None = None,
-                       d_max: float | None = None,
-                       total_area: float | None = None) -> "RegionPartition":
-        cfg = cfg or KMConfig()
+    def from_triangles(cls, triangles, cfg: KMConfig, d_max: float,
+                       total_area: float) -> "RegionPartition":
         tris = tuple(triangles)
         if not tris:
             raise GeometryError("partition needs at least one triangle")
-        areas = np.array([t.area for t in tris])
-        if total_area is None:
-            total_area = float(areas.sum())
-        if d_max is None:
-            d_max = hull_diameter(np.vstack([t.vertices for t in tris]))
         grid = np.linspace(0.0, d_max, cfg.grid_points + 1)
-        cdfs: dict = {}
-        pdfs: dict = {}
-        for i, tri in enumerate(tris):
-            pdf = within_triangle_pdf(tri, cfg)
-            pdfs[(i, i)] = pdf.evaluate(grid)
-            cdfs[(i, i)] = pdf_to_cdf(pdf).evaluate(grid)
+        cdfs = {(i, i): pdf_to_cdf(within_triangle_pdf(tri, cfg)).evaluate(grid)
+                for i, tri in enumerate(tris)}
         for i in range(len(tris)):
             for j in range(i + 1, len(tris)):
-                pair = classify_pair(tris[i], tris[j])
-                pdf = cross_pair_pdf(pair, cfg)
-                pdfs[(i, j)] = pdf.evaluate(grid)
+                pdf = cross_pair_pdf(classify_pair(tris[i], tris[j]), cfg)
                 cdfs[(i, j)] = pdf_to_cdf(pdf).evaluate(grid)
-        return cls(tris, areas, total_area, d_max, grid, cdfs, pdfs)
-
-    def cdf_values(self, i: int, j: int) -> np.ndarray:
-        return self._cdfs[(i, j) if i <= j else (j, i)]
-
-    def pdf_values(self, i: int, j: int) -> np.ndarray:
-        return self._pdfs[(i, j) if i <= j else (j, i)]
+        return cls(tris, np.array([t.area for t in tris]), total_area, d_max, cdfs)
 
     def cdf(self, i: int, j: int) -> CdfCurve:
-        return CdfCurve(self.d_max, self.cdf_values(i, j),
+        return CdfCurve(self.d_max, self._cdfs[(i, j) if i <= j else (j, i)],
                         {"pair": (i, j), "region": "partition"})
 
     def pair_weights(self):
@@ -129,14 +110,10 @@ class RegionPartition:
         return [(i, j, float(self.areas[i] * self.areas[j] / (s * s)))
                 for i in range(n) for j in range(n)]
 
-    def mixture(self) -> tuple[np.ndarray, np.ndarray]:
-        """(cdf values, pdf values) of the area-weighted pair sum."""
-        cdf = np.zeros_like(self.grid)
-        pdf = np.zeros_like(self.grid)
-        for i, j, w in self.pair_weights():
-            cdf += w * self.cdf_values(i, j)
-            pdf += w * self.pdf_values(i, j)
-        return cdf, pdf
+    def mixture(self) -> CdfCurve:
+        """The area-weighted sum of the ordered pairs' CDFs."""
+        pairs = self.pair_weights()
+        return weighted_mixture([self.cdf(i, j) for i, j, _ in pairs], [w for *_, w in pairs])
 
 
 def weighted_mixture(curves, weights) -> CdfCurve:
@@ -199,32 +176,11 @@ def between_regions_pdd(part_a, part_b, cfg: KMConfig | None = None) -> CdfCurve
     return pdf_to_cdf(pdf, meta)
 
 
-@dataclass(frozen=True)
-class RingSpec:
-    """Outer region with a strictly interior hole; the ring is the rest."""
-
-    outer: SimplePolygon | Triangle
-    hole: SimplePolygon | Triangle
-
-    def __post_init__(self):
-        check_ring(self.outer, self.hole)
-        if self.ring_area <= 0.0:
-            raise GeometryError("ring area must be positive")
-
-    @property
-    def outer_area(self) -> float:
-        return self.outer.area
-
-    @property
-    def hole_area(self) -> float:
-        return self.hole.area
-
-    @property
-    def ring_area(self) -> float:
-        return self.outer.area - self.hole.area
+# the ring's name in the paper's route; the Monte Carlo oracle takes the same object
+RingSpec = HollowRegion
 
 
-def ring_pdd(ring: RingSpec, cfg: KMConfig | None = None) -> dict[str, CdfCurve]:
+def ring_pdd(ring: HollowRegion, cfg: KMConfig | None = None) -> dict[str, CdfCurve]:
     """All six distance CDFs of an outer/hole/ring decomposition.
 
     Returns {"F11", "F22", "F23", "F33", "F12", "F13"} where index 1 is
@@ -241,8 +197,11 @@ def ring_pdd(ring: RingSpec, cfg: KMConfig | None = None) -> dict[str, CdfCurve]
     for F33.  That solved curve is the check on the swept one: it is kept
     in F33's ``meta["raw_values"]``, its largest gap to F33 in
     ``meta["solve_defect"]``, and a gap beyond RING_SOLVE_TOL raises
-    ``DiagnosticError``.
+    ``DiagnosticError``.  The sweep takes polygonal holes only; a ``Disk``
+    hole raises ``GeometryError``.
     """
+    if isinstance(ring.hole, Disk):
+        raise GeometryError("ring_pdd sweeps polygon holes only: use approximate_disk for a disk")
     cfg = cfg or KMConfig()
     s1 = ring.outer_area
     s2 = ring.hole_area

@@ -132,59 +132,31 @@ class Triangle:
     def diameter(self) -> float:
         return self.side_lengths[0]
 
+    def contains(self, points) -> np.ndarray:
+        return point_in_polygon(self.vertices, points)
 
-def canonicalize_triangle(
-    *,
-    angles: Sequence[float] | None = None,
-    sides: Sequence[float] | None = None,
-    sas: tuple[float, float, float] | None = None,
-    scale: float | None = None,
-) -> Triangle:
-    """Build a triangle in canonical position from one of three descriptions.
 
-    Exactly one of ``angles`` (three interior angles, radians), ``sides``
-    (three side lengths) or ``sas`` (side, included angle, side) must be
-    given.  The result has its longest side on the x-axis from (0, 0) to
-    (a, 0) with the apex in the upper half-plane.  The longest side is
-    normalized to 1 unless ``scale`` is supplied, in which case it equals
-    ``scale``.
+def canonicalize_triangle(*, angles: Sequence[float], scale: float | None = None) -> Triangle:
+    """Build a triangle in canonical position from its three interior angles
+    (radians).
+
+    The result has its longest side on the x-axis from (0, 0) to (a, 0) with
+    the apex in the upper half-plane.  The longest side is normalized to 1
+    unless ``scale`` is supplied, in which case it equals ``scale``.
     """
-    given = [x is not None for x in (angles, sides, sas)]
-    if sum(given) != 1:
-        raise GeometryError("give exactly one of angles=, sides=, sas=")
     if scale is not None and not (scale > 0.0 and math.isfinite(scale)):
         raise GeometryError(f"scale must be positive and finite, got {scale}")
-
-    if angles is not None:
-        ang = [float(t) for t in angles]
-        if len(ang) != 3 or any(t <= 0.0 for t in ang):
-            raise GeometryError(f"need three positive angles, got {angles}")
-        if abs(sum(ang) - math.pi) > ANGLE_SUM_TOL:
-            raise GeometryError(
-                f"angles must sum to pi within {ANGLE_SUM_TOL:g}, got sum {sum(ang)!r}"
-            )
-        alpha, beta, gamma = sorted(ang, reverse=True)
-        # absorb the tolerated angle-sum defect so derived identities hold
-        gamma = math.pi - alpha - beta
-    else:
-        if sas is not None:
-            s1, included, s2 = (float(x) for x in sas)
-            if s1 <= 0.0 or s2 <= 0.0:
-                raise GeometryError("sas side lengths must be positive")
-            if not 0.0 < included < math.pi:
-                raise GeometryError("sas included angle must lie in (0, pi)")
-            third = math.sqrt(s1 * s1 + s2 * s2 - 2.0 * s1 * s2 * math.cos(included))
-            side_list = [s1, s2, third]
-        else:
-            side_list = [float(x) for x in sides]  # type: ignore[union-attr]
-            if len(side_list) != 3 or any(s <= 0.0 for s in side_list):
-                raise GeometryError(f"need three positive side lengths, got {sides}")
-        a0, b0, c0 = sorted(side_list, reverse=True)
-        if b0 + c0 <= a0 * (1.0 + 1e-15):
-            raise GeometryError(f"triangle inequality violated for sides {side_list}")
-        alpha = math.acos(max(-1.0, min(1.0, (b0 * b0 + c0 * c0 - a0 * a0) / (2 * b0 * c0))))
-        beta = math.acos(max(-1.0, min(1.0, (a0 * a0 + c0 * c0 - b0 * b0) / (2 * a0 * c0))))
-        gamma = math.pi - alpha - beta
+    ang = [float(t) for t in angles]
+    # a NaN compares False, so it fails the range test too
+    if len(ang) != 3 or not all(0.0 < t < math.pi for t in ang):
+        raise GeometryError(f"need three angles in (0, pi), got {angles}")
+    if abs(sum(ang) - math.pi) > ANGLE_SUM_TOL:
+        raise GeometryError(
+            f"angles must sum to pi within {ANGLE_SUM_TOL:g}, got sum {sum(ang)!r}"
+        )
+    alpha, beta, gamma = sorted(ang, reverse=True)
+    # absorb the tolerated angle-sum defect so derived identities hold
+    gamma = math.pi - alpha - beta
 
     a = 1.0 if scale is None else float(scale)
     sin_alpha = math.sin(alpha)
@@ -712,6 +684,45 @@ class Disk:
         return dx * dx + dy * dy <= self.radius * self.radius
 
 
+@dataclass(frozen=True)
+class HollowRegion:
+    """An outer polygon minus a hole that lies strictly inside it.
+
+    The hole is a polygon or a ``Disk``.  The Monte Carlo oracle samples
+    either; the sweep (``ring_pdd``) takes a polygonal hole only.
+    """
+
+    outer: SimplePolygon | Triangle
+    hole: SimplePolygon | Triangle | Disk
+
+    def __post_init__(self):
+        if not isinstance(self.hole, Disk):
+            check_ring(self.outer, self.hole)
+        else:
+            # strictly inside: the center inside, and every outer edge farther
+            # from it than the radius (s picks each edge's point nearest it)
+            v, c = self.outer.vertices, np.asarray(self.hole.center, dtype=float)
+            e = _next(v) - v
+            s = np.clip(((c - v) * e).sum(axis=1) / (e * e).sum(axis=1), 0.0, 1.0)
+            gap = _lengths(v + s[:, None] * e - c).min()
+            if not point_in_polygon(v, c) or gap <= self.hole.radius:
+                raise GeometryError("disk hole must lie strictly inside the outer polygon")
+        if self.ring_area <= 0.0:
+            raise GeometryError("ring area must be positive")
+
+    @property
+    def outer_area(self) -> float:
+        return self.outer.area
+
+    @property
+    def hole_area(self) -> float:
+        return self.hole.area
+
+    @property
+    def ring_area(self) -> float:
+        return self.outer.area - self.hole.area
+
+
 def approximate_disk(center: Point2, radius: float, n_vertices: int) -> SimplePolygon:
     """Regular inscribed n-gon approximation of a disk (n >= 8).
 
@@ -755,8 +766,13 @@ def geometry_from_spec(data: dict) -> "Triangle | SimplePolygon":
         ang = data["angles"]
         if not isinstance(ang, (list, tuple)) or len(ang) != 3:
             raise GeometryError(f'"angles" must list three values in degrees, got {ang!r}')
-        radians = [math.radians(float(t)) for t in ang]
-        return canonicalize_triangle(angles=radians, scale=scale)
+        # checked in degrees, so that the errors name the values given
+        degrees = [float(t) for t in ang]
+        if not all(0.0 < t < 180.0 for t in degrees):
+            raise GeometryError(f"angles must lie in (0, 180) degrees, got {ang!r}")
+        if abs(sum(degrees) - 180.0) > math.degrees(ANGLE_SUM_TOL):
+            raise GeometryError(f"angles must sum to 180 degrees, got sum {sum(degrees):.12g}")
+        return canonicalize_triangle(angles=[math.radians(t) for t in degrees], scale=scale)
 
     pts = _as_points(data["vertices"])
     if scale is not None:

@@ -7,8 +7,9 @@ are bit-identical for a given :class:`SampleConfig` no matter how the
 batches are scheduled.
 
 One class, ``_Draws``, draws the points of every region: a triangle, a
-simple polygon, or a ``HollowRegion`` (an outer boundary with a polygonal
-or disk hole).  A point of any region but a bare triangle first draws its
+simple polygon, or a ``geom.HollowRegion`` (an outer boundary with a
+polygonal or disk hole strictly inside; the sweep's ``RingSpec`` is the
+same class).  A point of any region but a bare triangle first draws its
 triangle, an area-weighted key inverted through a guide table built once
 per region.  Then a unit-square pair (u, w) is folded into the unit
 triangle without a mask and mapped to v0 + u (v1 - v0) + w (v2 - v0).  A
@@ -37,11 +38,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Union
 
 import numpy as np
 
-from .geom import Disk, GeometryError, SimplePolygon, Triangle, check_ring, triangulate
+from .geom import HollowRegion, SimplePolygon, Triangle, triangulate
 from .km_engine import CdfCurve, _require_integer
 
 __all__ = [
@@ -115,25 +115,6 @@ class EmpiricalCdf:
         d = np.asarray(d, dtype=float)
         return (self.evaluate(d + half_width) - self.evaluate(d - half_width)) \
             / (2.0 * half_width)
-
-
-@dataclass(frozen=True)
-class HollowRegion:
-    """A polygon with an excluded hole (polygonal or an exact disk).
-
-    A polygonal hole must lie strictly inside the outer polygon; a disk
-    hole must leave some of it uncovered.
-    """
-
-    outer: SimplePolygon
-    hole: Union[SimplePolygon, Disk]
-
-    def __post_init__(self):
-        if not isinstance(self.hole, Disk):
-            check_ring(self.outer, self.hole)
-        elif bool(self.hole.contains(self.outer.vertices).all()):
-            # a disk is convex: holding every vertex, it covers the polygon
-            raise GeometryError("disk hole covers the whole outer polygon")
 
 
 def _part(seed: int, index: int, offset: int) -> np.random.Generator:

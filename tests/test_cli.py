@@ -306,6 +306,18 @@ def test_resolution_flags_out_of_range_exit_two_in_their_own_units(capsys):
     assert str(km_engine.GRID_POINTS_MAX) in capsys.readouterr().err
 
 
+def test_angles_out_of_range_exit_two_in_degrees(tmp_path, capsys):
+    # a NaN angle once passed every check and wrote the (80, 70, 30) curve
+    nan_file = write_geometry(tmp_path / "nan.json", {"angles": [80, 70, math.nan]})
+    for source in (["--angles", "80,70,nan"], ["--geometry", nan_file]):
+        assert main(["triangle", *source, *FAST_FLAGS]) == 2
+        assert "(0, 180) degrees" in capsys.readouterr().err
+    # the sum is reported in the degrees given, not in radians
+    assert main(["triangle", "--angles", "80,70,20", *FAST_FLAGS]) == 2
+    err = capsys.readouterr().err
+    assert "sum to 180 degrees" in err and "got sum 170" in err
+
+
 def test_diagnostic_failures_exit_three(tmp_path, monkeypatch, capsys):
     geom = write_geometry(tmp_path / "g.json",
                           {"vertices": [[0, 0], [1, 0], [0.3, 0.8]]})

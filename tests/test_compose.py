@@ -9,6 +9,7 @@ from polydist import (
     CdfCurve,
     DensityCurve,
     GeometryError,
+    HollowRegion,
     KMConfig,
     RingSpec,
     SampleConfig,
@@ -31,7 +32,7 @@ from polydist import (
 )
 from polydist import compose, geom, km_engine
 from polydist.compose import RegionPartition
-from polydist.geom import approximate_disk
+from polydist.geom import Disk, approximate_disk
 from polydist.km_engine import (
     PolygonSource,
     UnionSource,
@@ -118,7 +119,7 @@ def test_polygon_pdd_matches_triangle_pair_route(poly):
     one = polygon_pdd(poly, FAST)
     part = RegionPartition.from_triangles(triangulate(poly), FAST, d_max=poly.diameter,
                                           total_area=poly.area)
-    mixed, _ = part.mixture()
+    mixed = part.mixture().values
     assert np.max(np.abs(one.values - mixed)) < 1e-4
 
 
@@ -383,6 +384,24 @@ def test_ring_spec_validation():
     assert spec.ring_area == pytest.approx(1.0 - 0.36)
 
 
+def test_one_ring_object_serves_the_sweep_and_monte_carlo():
+    assert RingSpec is HollowRegion
+    for hole in (square(0.3), Triangle.from_vertices((-0.2, -0.15), (0.4, 0.05), (0.3, -0.25))):
+        ring = RingSpec(square(0.5), hole)
+        f33 = ring_pdd(ring, FAST)["F33"]
+        ecdf = pdd_mc(ring, ring, SampleConfig(n_pairs=50_000, seed=26))
+        assert ks_distance(f33, ecdf) < 0.01
+    # a disk hole is the oracle's alone; the sweep names the polygon to use
+    disk_ring = HollowRegion(square(0.5), Disk((0.0, 0.0), 0.3))
+    assert disk_ring.ring_area == pytest.approx(1.0 - math.pi * 0.09)
+    with pytest.raises(GeometryError, match="approximate_disk"):
+        ring_pdd(disk_ring, FAST)
+    # the disk must lie strictly inside: its center inside, clear of every edge
+    for center, radius in (((0.3, 0.0), 0.25), ((0.0, 0.0), 0.5), ((0.8, 0.0), 0.1)):
+        with pytest.raises(GeometryError, match="strictly inside"):
+            HollowRegion(square(0.5), Disk(center, radius))
+
+
 def test_square_ring_solved_cdf():
     ring = RingSpec(square(0.5), square(0.3))
     curves = ring_pdd(ring, FAST)
@@ -409,7 +428,7 @@ def test_square_ring_solved_cdf():
     tris = triangulate_ring(ring.outer, ring.hole)
     part = RegionPartition.from_triangles(tris, FAST, d_max=ring.outer.diameter,
                                           total_area=s3)
-    direct_vals, _ = part.mixture()
+    direct_vals = part.mixture().values
     assert np.max(np.abs(direct_vals - f33.values)) < 5e-4
 
 

@@ -55,14 +55,6 @@ def test_canonical_law_of_sines_wide_triangle():
     assert alpha + beta + gamma == pytest.approx(math.pi, abs=1e-12)
 
 
-def test_canonical_from_sides_and_sas():
-    tri = canonicalize_triangle(sides=[3.0, 4.0, 5.0])
-    assert tri.side_lengths[0] == pytest.approx(1.0, abs=1e-12)
-    assert tri.angles[0] == pytest.approx(math.pi / 2.0, abs=1e-9)
-    sas = canonicalize_triangle(sas=(1.0, math.pi / 3.0, 1.0))
-    np.testing.assert_allclose(sas.side_lengths, (1.0, 1.0, 1.0), atol=1e-9)
-
-
 def test_canonical_scale():
     tri = canonicalize_triangle(angles=[DEG(80), DEG(70), DEG(30)], scale=2.5)
     assert tri.side_lengths[0] == pytest.approx(2.5, rel=1e-12)
@@ -74,12 +66,11 @@ def test_canonical_rejections():
         canonicalize_triangle(angles=[0.0, math.pi / 2, math.pi / 2])
     with pytest.raises(GeometryError):
         canonicalize_triangle(angles=[0.5, 0.5, 0.5])  # sum far from pi
-    with pytest.raises(GeometryError):
-        canonicalize_triangle(sides=[1.0, 1.0, 3.0])
-    with pytest.raises(GeometryError):
-        canonicalize_triangle(sas=(1.0, math.pi, 1.0))
-    with pytest.raises(GeometryError):
-        canonicalize_triangle(angles=[math.pi / 3] * 3, sides=[1, 1, 1])
+    # a NaN compares False with everything; it once gave the (80, 70, 30)
+    # triangle, whose angles the other two imply
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(GeometryError, match=r"in \(0, pi\)"):
+            canonicalize_triangle(angles=[DEG(80), DEG(70), bad])
 
 
 def test_polygon_area_examples():
@@ -423,3 +414,12 @@ def test_geometry_from_spec_rejections():
     ):
         with pytest.raises(GeometryError):
             geometry_from_spec(bad)
+
+
+def test_geometry_from_spec_checks_angles_in_degrees():
+    for bad in ([80, 70, math.nan], [80, 70, math.inf], [200, -10, -10], [180, 0, 0]):
+        with pytest.raises(GeometryError, match=r"must lie in \(0, 180\) degrees"):
+            geometry_from_spec({"angles": bad})
+    # the sum is reported as given, not in radians (2.96705972839036)
+    with pytest.raises(GeometryError, match=r"sum to 180 degrees, got sum 170$"):
+        geometry_from_spec({"angles": [80, 70, 20]})

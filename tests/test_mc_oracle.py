@@ -554,7 +554,7 @@ def test_hollow_region_disk_hole():
 def test_hollow_region_rejects_holes_that_leave_no_region():
     # a disk covering the outer polygon would leave the sampler's rejection
     # loop without a point to accept
-    with pytest.raises(GeometryError, match="covers"):
+    with pytest.raises(GeometryError, match="disk hole must lie strictly inside"):
         HollowRegion(square(0.5, center=(0.5, 0.5)), Disk((0.5, 0.5), 5.0))
     with pytest.raises(GeometryError):
         HollowRegion(square(0.5), square(0.3, center=(0.4, 0.0)))  # pokes out
