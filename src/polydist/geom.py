@@ -17,7 +17,9 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
+import heapq
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -75,7 +77,14 @@ def _feature_scale(vertices: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+def _too_thin(area, scale):
+    """Whether triangles of these signed areas and feature scales are
+    degenerate (zero or negative area)."""
+    return area * 2.0 <= EPS_CROSS * scale * scale
+
+
+# regions compare and hash by identity: their fields are arrays
+@dataclass(frozen=True, eq=False)
 class Triangle:
     """A non-degenerate triangle with CCW vertices.
 
@@ -91,8 +100,7 @@ class Triangle:
         if arr.shape[0] != 3:
             raise GeometryError("a triangle has exactly 3 vertices")
         area = _signed_area(arr)
-        scale = _feature_scale(arr)
-        if area * 2.0 <= EPS_CROSS * scale * scale:
+        if _too_thin(area, _feature_scale(arr)):
             raise GeometryError("triangle is degenerate (zero or negative area)")
         arr = arr.copy()
         arr.flags.writeable = False
@@ -106,6 +114,14 @@ class Triangle:
         if _signed_area(arr) < 0.0:
             arr = arr[::-1]
         return cls(arr)
+
+    @classmethod
+    def _checked(cls, vertices: np.ndarray, area: float) -> "Triangle":
+        """A triangle of read-only CCW ``vertices`` and their ``area``,
+        which the caller has checked as ``__post_init__`` would."""
+        tri = object.__new__(cls)
+        tri.__dict__.update(vertices=vertices, area=area)
+        return tri
 
     # the vertices are read-only, so each figure is computed once
     @functools.cached_property
@@ -181,37 +197,58 @@ def canonicalize_triangle(*, angles: Sequence[float], scale: float | None = None
 _BLOCK_PAIRS = 1 << 16
 
 
-def _proper_crossing(a, b, c, d, eps2: float) -> np.ndarray:
-    """True where open segments ab and cd cross at a single interior point
-    (vectorized over broadcast point arrays)."""
-    o1 = _cross2(b - a, c - a)
-    o2 = _cross2(b - a, d - a)
-    o3 = _cross2(d - c, a - c)
-    o4 = _cross2(d - c, b - c)
-    return (o1 * o2 < -eps2 * eps2) & (o3 * o4 < -eps2 * eps2)
-
-
-def _first_crossing(p: np.ndarray, q: np.ndarray, eps: float) -> tuple[int, int] | None:
+def _first_crossing(p: np.ndarray, q: np.ndarray, eps: float,
+                    same_loop: bool = False) -> tuple[int, int] | None:
     """First (i, j) in row-major order where edge i of loop ``p`` (p[i] to
     p[i+1]) properly crosses edge j of loop ``q``, or None.
 
-    Edges that share an endpoint never cross: the shared point makes a
-    cross product exactly 0.
+    Open segments ab and cd cross properly where the cross products
+    o1 = (b-a) x (c-a), o2 = (b-a) x (d-a), o3 = (d-c) x (a-c) and
+    o4 = (d-c) x (b-c) satisfy o1 o2 < -eps^2 and o3 o4 < -eps^2.  Edges
+    that share an endpoint never cross: the shared point makes a cross
+    product exactly 0.
+
+    A block of edges of ``p`` is tested against ``q`` in one array
+    operation, on the offsets g = q - p of every vertex pair of the block.
+    Edge i+1 starts where edge i ends, so g gives every point difference
+    the four products take, rounded as they are (x - y is -(y - x) to the
+    bit).  With ``same_loop`` (``q`` is ``p``) a block starting at row s
+    takes only the edges j > s: crossing is symmetric, so the all-pairs
+    scan's first hit has i < j and lies in the tested part, and each
+    unordered pair outside the blocks' diagonal squares is tested once.
     """
-    c = q[None]
-    d = _next(q)[None]
-    p_next = _next(p)
+    limit = -eps * eps
+    pe = np.concatenate((p, p[:1]))
+    qe = np.concatenate((q, q[:1]))
+    ue = pe[1:] - pe[:-1]  # edges b - a of p
+    ve = qe[1:] - qe[:-1]  # edges d - c of q
     rows = max(1, _BLOCK_PAIRS // len(q))
+    if same_loop:
+        # a quarter of the loop per block: the pairs repeated in the blocks'
+        # diagonal squares cost less than more blocks' call overhead
+        rows = min(rows, max(16, -(-len(p) // 4)))
     for start in range(0, len(p), rows):
-        a = p[start:start + rows, None]
-        b = p_next[start:start + rows, None]
-        hits = np.argwhere(_proper_crossing(a, b, c, d, eps))
+        stop = min(start + rows, len(p))
+        first = start + 1 if same_loop else 0
+        # offsets c - a from vertex start..stop of p to vertex first..end of q
+        gx = qe[first:, 0] - pe[start:stop + 1, 0, None]
+        gy = qe[first:, 1] - pe[start:stop + 1, 1, None]
+        ca_x, ca_y = gx[:-1, :-1], gy[:-1, :-1]  # c - a
+        da_x, da_y = gx[:-1, 1:], gy[:-1, 1:]  # d - a
+        cb_x, cb_y = gx[1:, :-1], gy[1:, :-1]  # c - b
+        ux, uy = ue[start:stop, 0, None], ue[start:stop, 1, None]
+        vx, vy = ve[first:, 0], ve[first:, 1]
+        o1 = ux * ca_y - uy * ca_x
+        o2 = ux * da_y - uy * da_x
+        o3 = vy * ca_x - vx * ca_y  # (d-c) x (a-c), with a - c = -(c - a)
+        o4 = vy * cb_x - vx * cb_y  # (d-c) x (b-c)
+        hits = np.argwhere((o1 * o2 < limit) & (o3 * o4 < limit))
         if len(hits):
-            return start + int(hits[0, 0]), int(hits[0, 1])
+            return start + int(hits[0, 0]), first + int(hits[0, 1])
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimplePolygon:
     """A simple (non-self-intersecting) polygon with CCW vertices."""
 
@@ -231,8 +268,7 @@ class SimplePolygon:
             arr = arr[::-1].copy()
         if abs(_signed_area(arr)) <= EPS_CROSS * scale * scale:
             raise GeometryError("polygon area is zero")
-        # the relation is symmetric, so the first crossing has i < j
-        crossing = _first_crossing(arr, arr, EPS_CROSS * scale)
+        crossing = _first_crossing(arr, arr, EPS_CROSS * scale, same_loop=True)
         if crossing is not None:
             raise GeometryError(
                 "polygon boundary self-intersects (edges %d and %d)" % crossing
@@ -547,58 +583,134 @@ def check_pairs(tris_a, tris_b) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _ear_clip(vertices: np.ndarray) -> list[np.ndarray]:
-    """Ear-clip a CCW (weakly) simple vertex loop into triangles.
+def _ear_clip(vertices: np.ndarray) -> np.ndarray:
+    """Ear-clip a CCW (weakly) simple vertex loop into triangles, returned
+    as their corners (T, 3, 2), each CCW from the clipped corner's
+    predecessor.
 
-    Tolerates coincident vertex copies such as the doubled bridge endpoints
-    of a cut ring: copies coinciding with an ear corner never block the ear.
+    Each step clips the first convex corner in loop order that no other
+    remaining vertex blocks, that is, lies in its triangle.  A first pass
+    counts points on the triangle's boundary as blockers; when it finds no
+    ear, a second counts only points strictly inside (needed next to the
+    zero-width bridge of a cut ring).  With no ear at all the first
+    collinear spike is dropped.  Vertex copies coinciding with an ear
+    corner, such as the doubled bridge endpoints of a cut ring, never
+    block the ear.
+
+    A clip changes only its two neighbours' triangles, so only their turns
+    are recomputed.  A corner blocked in the first pass keeps one
+    remaining vertex that blocks it, its witness; removing other vertices
+    cannot unblock it, so it is retested only when its triangle changes or
+    its witness is clipped.  Every test and turn takes the arithmetic of
+    the plain algorithm (which gathers the loop and retests in order each
+    step), so the triangles are the same to the bit.
     """
+    n = len(vertices)
     scale = _feature_scale(vertices)
     eps_area = EPS_CROSS * scale * scale
     snap2 = (EPS_SNAP * scale) ** 2
-    idx = list(range(len(vertices)))
-    triangles: list[np.ndarray] = []
+    # conservative pass: boundary contact blocks; strict pass: only
+    # strictly interior points block
+    reach = EPS_SNAP * scale * scale
+    bounds = (-reach, reach)
+    xs, ys = vertices[:, 0].tolist(), vertices[:, 1].tolist()
+    points = np.ascontiguousarray(vertices.T)  # (2, n)
+    alive = np.ones(n, dtype=bool)
+    prev = [n - 1] + list(range(n - 1))
+    nxt = list(range(1, n)) + [0]
 
-    def is_ear(w: np.ndarray, k: int, strict_block: bool) -> bool:
-        """Whether no remaining vertex blocks the convex corner k of loop w."""
-        a, b, c = w[k - 1], w[k], w[(k + 1) % len(w)]
-        # conservative pass: boundary contact blocks; strict pass: only
-        # strictly interior points block (needed next to zero-width bridges)
-        block_eps = -EPS_SNAP * scale * scale if strict_block else EPS_SNAP * scale * scale
+    def turn(k: int) -> float:
+        a, c = prev[k], nxt[k]
+        return (xs[k] - xs[a]) * (ys[c] - ys[k]) - (ys[k] - ys[a]) * (xs[c] - xs[k])
+
+    def blocker(k: int, strict: int) -> int | None:
+        """A remaining vertex that blocks corner k, or None for an ear."""
+        corners = vertices[[prev[k], k, nxt[k]]]  # a, b, c
+        rel = points - corners[:, :, None]  # w - a, w - b, w - c
+        edges = corners[[1, 2, 0]] - corners  # b - a, c - b, a - c
+        cross = edges[:, :1] * rel[:, 1] - edges[:, 1:] * rel[:, 0]
+        inside = np.logical_and.reduce(cross >= bounds[strict]) & alive
         # the ear's own corners are at distance 0, so they never block
-        free = (
-            (((w - a) ** 2).sum(axis=1) > snap2)
-            & (((w - b) ** 2).sum(axis=1) > snap2)
-            & (((w - c) ** 2).sum(axis=1) > snap2)
-        )
-        inside = (
-            (_cross2(b - a, w - a) >= -block_eps)
-            & (_cross2(c - b, w - b) >= -block_eps)
-            & (_cross2(a - c, w - c) >= -block_eps)
-        )
-        return not bool((free & inside).any())
+        return next((w for w in np.flatnonzero(inside).tolist()
+                     if all((xs[w] - x) * (xs[w] - x) + (ys[w] - y) * (ys[w] - y) > snap2
+                            for x, y in corners.tolist())), None)
 
-    while len(idx) > 3:
-        w = vertices[idx]
-        turns = _cross2(w - np.roll(w, 1, axis=0), _next(w) - w)
-        convex = np.flatnonzero(turns > eps_area)
-        ear = next(
-            (int(k) for strict in (False, True) for k in convex if is_ear(w, k, strict)),
-            None,
-        )
+    turns = [turn(k) for k in range(n)]
+    # witness[k]: a vertex blocking corner k in the first pass, or None
+    # when untested; watchers[w]: corners that were given witness w
+    witness: list[int | None] = [None] * n
+    watchers: dict[int, list[int]] = {}
+    # convex corners not known to be blocked in the first pass, by index:
+    # loop order, since clipping keeps the remaining indices in order
+    queue = [k for k in range(n) if turns[k] > eps_area]
+    corners_out: list[tuple[int, int, int]] = []
+
+    for _ in range(n - 3):
+        ear = None
+        while queue:
+            k = queue[0]
+            if alive[k] and turns[k] > eps_area and witness[k] is None:
+                w = blocker(k, 0)
+                if w is None:
+                    ear = k
+                    break
+                witness[k] = w
+                watchers.setdefault(w, []).append(k)
+            heapq.heappop(queue)
+        if ear is None:
+            # the strict pass is rare enough to test every convex corner
+            ear = next((k for k in np.flatnonzero(alive).tolist()
+                        if turns[k] > eps_area and blocker(k, 1) is None), None)
         if ear is not None:
-            triangles.append(w[[ear - 1, ear, (ear + 1) % len(w)]])
-            del idx[ear]
-            continue
-        # drop a collinear spike if one exists, else give up
-        spikes = np.flatnonzero(np.abs(turns) <= eps_area)
-        if not len(spikes):
-            raise GeometryError("ear clipping failed; polygon may not be simple")
-        del idx[int(spikes[0])]
-    a, b, c = (vertices[i] for i in idx)
-    if float(_cross2(b - a, c - b)) > eps_area:
-        triangles.append(np.array([a, b, c]))
-    return triangles
+            corners_out.append((prev[ear], ear, nxt[ear]))
+            gone = ear
+        else:
+            # drop a collinear spike if one exists, else give up
+            gone = next((k for k in np.flatnonzero(alive).tolist()
+                         if abs(turns[k]) <= eps_area), None)
+            if gone is None:
+                raise GeometryError("ear clipping failed; polygon may not be simple")
+        alive[gone] = False
+        a, c = prev[gone], nxt[gone]
+        nxt[a], prev[c] = c, a
+        for k in (a, c):
+            turns[k] = turn(k)
+            witness[k] = None
+            heapq.heappush(queue, k)
+        for k in watchers.pop(gone, ()):
+            if witness[k] == gone:
+                witness[k] = None
+                heapq.heappush(queue, k)
+    a, b, c = np.flatnonzero(alive).tolist()
+    if turn(b) > eps_area:
+        corners_out.append((a, b, c))
+    return vertices[np.array(corners_out, dtype=np.intp).reshape(-1, 3)]
+
+
+def _triangles(corners: np.ndarray) -> list[Triangle]:
+    """``Triangle.from_vertices`` of each row of ``corners`` (T, 3, 2), a
+    polygon's finite vertices, with the orientation, area and degeneracy
+    checks done once for all rows: the same vertex order and area bits."""
+
+    def areas(v: np.ndarray) -> np.ndarray:
+        # _signed_area of each row; a row's three terms add in order, as
+        # they do alone
+        following = v[:, [1, 2, 0]]
+        return 0.5 * np.add.reduce(v[..., 0] * following[..., 1]
+                                   - following[..., 0] * v[..., 1], axis=1)
+
+    area = areas(corners)
+    cw = area < 0.0
+    if cw.any():
+        corners = np.where(cw[:, None, None], corners[:, ::-1], corners)
+        area = areas(corners)
+    span = corners.max(axis=1) - corners.min(axis=1)
+    scale = np.maximum(span.max(axis=1), 1e-300)
+    if _too_thin(area, scale).any():
+        raise GeometryError("triangle is degenerate (zero or negative area)")
+    corners = np.array(corners)
+    corners.flags.writeable = False
+    return [Triangle._checked(v, a) for v, a in zip(corners, area.tolist())]
 
 
 def triangulate(polygon: SimplePolygon | Triangle) -> list[Triangle]:
@@ -612,10 +724,9 @@ def triangulate(polygon: SimplePolygon | Triangle) -> list[Triangle]:
         return [polygon]
     v = polygon.vertices
     if polygon.is_convex():
-        return [
-            Triangle.from_vertices(v[0], v[i], v[i + 1]) for i in range(1, len(v) - 1)
-        ]
-    return [Triangle.from_vertices(*tri) for tri in _ear_clip(v)]
+        apex = np.broadcast_to(v[0], v[2:].shape)
+        return _triangles(np.stack([apex, v[1:-1], v[2:]], axis=1))
+    return _triangles(_ear_clip(v))
 
 
 def check_ring(outer: SimplePolygon, hole: SimplePolygon) -> None:
@@ -651,7 +762,7 @@ def triangulate_ring(outer: SimplePolygon, hole: SimplePolygon) -> list[Triangle
     loop.append(vh[j_hole])
     loop.append(vo[i_out])
     loop.extend(vo[k] for k in range(i_out + 1, no))
-    tris = [Triangle.from_vertices(*t) for t in _ear_clip(np.array(loop))]
+    tris = _triangles(_ear_clip(np.array(loop)))
 
     target = outer.area - hole.area
     total = sum(t.area for t in tris)
@@ -684,7 +795,7 @@ class Disk:
         return dx * dx + dy * dy <= self.radius * self.radius
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HollowRegion:
     """An outer polygon minus a hole that lies strictly inside it.
 
@@ -738,6 +849,15 @@ def approximate_disk(center: Point2, radius: float, n_vertices: int) -> SimplePo
     pts = np.stack([cx + radius * np.cos(ang), cy + radius * np.sin(ang)], axis=1)
     return SimplePolygon(pts)
 
+
+def _numbers_only(key: str, values) -> None:
+    """Raise GeometryError unless ``values`` (nested lists, tuples or an
+    array) holds numbers only: a string or a boolean would pass float()."""
+    for x in np.asarray(values, dtype=object).ravel().tolist():
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            raise GeometryError(f'"{key}" takes numbers only, got {x!r}')
+
+
 def geometry_from_spec(data: dict) -> "Triangle | SimplePolygon":
     """Build a region from a geometry description object.
 
@@ -756,6 +876,9 @@ def geometry_from_spec(data: dict) -> "Triangle | SimplePolygon":
     has_vertices = "vertices" in data
     if has_angles == has_vertices:
         raise GeometryError('give exactly one of "angles" or "vertices"')
+    for key in ("angles", "vertices", "scale"):
+        if key in data:
+            _numbers_only(key, data[key])
     scale = data.get("scale")
     if scale is not None:
         scale = float(scale)

@@ -318,6 +318,21 @@ def test_angles_out_of_range_exit_two_in_degrees(tmp_path, capsys):
     assert "sum to 180 degrees" in err and "got sum 170" in err
 
 
+def test_geometry_files_take_numbers_only(tmp_path, capsys):
+    # quoted angles once built the (80, 70, 30) triangle, and true the vertex (1, 1)
+    quoted = write_geometry(tmp_path / "quoted.json", {"angles": ["80", "70", "30"]})
+    assert main(["triangle", "--geometry", quoted, *FAST_FLAGS]) == 2
+    assert '"angles" takes numbers only' in capsys.readouterr().err
+    flags = write_geometry(tmp_path / "bool.json",
+                           {"vertices": [[0, 0], [2, 0], [2, 2], [True, True], [0, 2]]})
+    assert main(["polygon", "--geometry", flags, *FAST_FLAGS]) == 2
+    assert '"vertices" takes numbers only' in capsys.readouterr().err
+    scale = write_geometry(tmp_path / "scale.json",
+                           {"vertices": [[0, 0], [1, 0], [0, 1]], "scale": "2"})
+    assert main(["mc", "--geometry", scale, "--samples", "1000", "--seed", "1"]) == 2
+    assert '"scale" takes numbers only' in capsys.readouterr().err
+
+
 def test_diagnostic_failures_exit_three(tmp_path, monkeypatch, capsys):
     geom = write_geometry(tmp_path / "g.json",
                           {"vertices": [[0, 0], [1, 0], [0.3, 0.8]]})

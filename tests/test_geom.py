@@ -21,9 +21,11 @@ from polydist.geom import (
     geometry_from_spec,
     hull_diameter,
     triangulate,
+    triangulate_ring,
 )
 from polydist.km_engine import ConvexSource
-from shapes import line_through, pair_from_angles, regular_polygon, square
+from shapes import benchmark_star, line_through, pair_from_angles, regular_polygon, square
+from shapes import reference_ear_clip, reference_first_crossing
 from shapes import CONCAVE_PAIR_ANGLES, CONVEX_PAIR_ANGLES
 
 DEG = math.radians
@@ -191,6 +193,150 @@ def test_triangulation_partition_random_polygons():
         corners = {tuple(np.round(v, 9)) for t in tris for v in t.vertices}
         for v in poly.vertices:
             assert tuple(np.round(v, 9)) in corners
+
+
+L_SHAPE = np.array([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]], dtype=float)
+
+
+def _comb(teeth: int) -> np.ndarray:
+    """A comb: a base bar with ``teeth`` upward teeth, CCW."""
+    top = []
+    for k in reversed(range(teeth)):
+        x = 2.0 * k
+        top += [[x + 1.0, 1.0], [x + 1.0, 4.0], [x, 4.0], [x, 1.0]]
+    return np.array([[0.0, 0.0], [2.0 * teeth - 1.0, 0.0]] + top[:-1] + [[0.0, 1.0]])
+
+
+def _grid_loops(rng, count: int) -> list[np.ndarray]:
+    """Integer points in angle order around an off-grid point: loops full
+    of collinear vertices, some with zero-width spikes."""
+    loops = []
+    while len(loops) < count:
+        pts = np.unique(rng.integers(-3, 4, (int(rng.integers(5, 14)), 2)), axis=0)
+        loop = pts[np.argsort(np.arctan2(pts[:, 1] - 0.1, pts[:, 0] - 0.13))]
+        if len(loop) >= 4:
+            loops.append(loop.astype(float))
+    return loops
+
+
+def _ring_loops(monkeypatch) -> list[np.ndarray]:
+    """The bridged loops ``triangulate_ring`` ear-clips."""
+    loops = []
+    clip = geom._ear_clip
+    monkeypatch.setattr(geom, "_ear_clip", lambda v: loops.append(v) or clip(v))
+    outer = square(1.0)
+    for hole in (square(0.5), square(0.2, center=(0.4, -0.3)),
+                 SimplePolygon(np.array([[-0.6, 0.1], [0.5, 0.1], [0.5, 0.5], [-0.6, 0.5]])),
+                 approximate_disk((0.1, 0.05), 0.6, 64)):
+        triangulate_ring(outer, hole)
+    triangulate_ring(regular_polygon(12, side=1.0), approximate_disk((0.2, 0.0), 0.9, 64))
+    monkeypatch.undo()
+    return loops
+
+
+def _clip_outcome(clip, loop):
+    """An ear clipper's triangles as one array, or its error message."""
+    try:
+        return np.array(clip(loop)).reshape(-1, 3, 2)
+    except GeometryError as err:
+        return str(err)
+
+
+def test_ear_clip_matches_the_reference_clipper(monkeypatch):
+    rng = np.random.default_rng(27)
+    stars = [benchmark_star(n, seed) for n, seed in
+             [(6, 1), (7, 2), (10, 3), (25, 4), (64, 5), (101, 6), (200, 19), (257, 7), (400, 8)]]
+    loops = [p.vertices for p in stars]
+    loops += [_star_polygon(rng, int(rng.integers(4, 13))).vertices for _ in range(20)]
+    loops += [L_SHAPE, SimplePolygon(_comb(6)).vertices]
+    grid = _grid_loops(rng, 60)
+    rings = _ring_loops(monkeypatch)
+    assert len(rings) == 5
+    loops += grid + rings
+    # bridged loops of holes that touch the outer square or fold onto
+    # themselves: here an ear clipped first was the only blocker of an
+    # earlier corner, and the first needs the strict pass before it fails
+    loops += [np.array(v, dtype=float) for v in (
+        [[-3, -3], [-2, -3], [-3, 0], [-2, 1], [0, 0], [0, -1], [0, -3], [-1, -2],
+         [-2, -3], [-3, -3], [3, -3], [3, 3], [-3, 3]],
+        [[-4, -4], [4, -4], [2, -1], [0, 1], [1, 0], [3, 0], [2, -1], [4, -4], [4, 4], [-4, 4]],
+    )]
+    # loops that cross themselves: most have no ear at some step
+    tangled = [rng.uniform(-1.0, 1.0, (int(rng.integers(4, 12)), 2)) for _ in range(30)]
+    loops += tangled
+    failed = spiked = 0
+    for loop in loops:
+        want = _clip_outcome(reference_ear_clip, loop)
+        got = _clip_outcome(geom._ear_clip, loop)
+        if isinstance(want, str):
+            assert got == want
+            failed += 1
+            continue
+        # the same triangles, in the same order, to the bit
+        assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+        # a dropped spike or a degenerate last triangle leaves fewer than n - 2
+        spiked += len(want) < len(loop) - 2
+    assert failed >= 10 and spiked >= 5
+    # triangulate builds the triangles from_vertices builds, area bits included
+    for poly in stars + [SimplePolygon(L_SHAPE), regular_polygon(9)]:
+        got = triangulate(poly)
+        corners = (reference_ear_clip(poly.vertices) if not poly.is_convex() else
+                   [[poly.vertices[0], poly.vertices[i], poly.vertices[i + 1]]
+                    for i in range(1, len(poly.vertices) - 1)])
+        want = [Triangle.from_vertices(*c) for c in corners]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g.vertices, w.vertices)
+            assert g.area == w.area and type(g.area) is float
+            assert not g.vertices.flags.writeable
+
+
+def test_triangles_flip_clockwise_rows_and_reject_degenerate_ones():
+    tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.7]])
+    got = geom._triangles(np.stack([tri, tri[::-1]]))
+    want = Triangle.from_vertices(*tri[::-1])
+    np.testing.assert_array_equal(got[1].vertices, want.vertices)
+    assert got[1].area == want.area
+    flat = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    with pytest.raises(GeometryError, match="degenerate"):
+        geom._triangles(np.stack([tri, flat]))
+
+
+def test_crossing_test_reports_the_all_pairs_first_crossing():
+    rng = np.random.default_rng(31)
+    bowtie = np.array([[0, 0], [1, 1], [1, 0], [0, 1]], dtype=float)
+    uneven = np.array([[0, 0], [2, 2], [2, 0], [0, 1]], dtype=float)
+    # random loops cross many times; long ones span several blocks of rows
+    loops = [bowtie, uneven] + [rng.uniform(-1.0, 1.0, (n, 2)) for n in
+                                (4, 5, 6, 9, 17, 40, 70, 130, 300)]
+    star = benchmark_star(200, 19).vertices
+    for i in (199, 150, 60, 1):
+        # one vertex pulled out past the far side: its edges cross that side
+        yanked = star.copy()
+        yanked[i] *= -1.5
+        loops.append(yanked)
+    for loop in loops:
+        want = reference_first_crossing(loop, loop, 1e-12)
+        assert want is not None
+        assert geom._first_crossing(loop, loop, 1e-12, same_loop=True) == want
+    # a simple loop has none, and two loops take every ordered pair
+    simple = benchmark_star(300, 3).vertices
+    assert geom._first_crossing(simple, simple, 1e-12, same_loop=True) is None
+    for _ in range(5):
+        p, q = rng.uniform(-1.0, 1.0, (37, 2)), rng.uniform(-1.0, 1.0, (23, 2))
+        assert geom._first_crossing(p, q, 1e-12) == reference_first_crossing(p, q, 1e-12)
+
+
+def test_regions_compare_and_hash_by_identity():
+    pts = np.array([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]], dtype=float)
+    poly, twin = SimplePolygon(pts), SimplePolygon(pts.copy())
+    tri, tri_twin = (Triangle.from_vertices((0, 0), (1, 0), (0, 1)) for _ in range(2))
+    ring, ring_twin = (geom.HollowRegion(square(1.0), square(0.5)) for _ in range(2))
+    for a, b in ((poly, twin), (tri, tri_twin), (ring, ring_twin)):
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2
+        assert {a: 1, b: 2}[b] == 2
 
 
 def chord(region, theta, p):
@@ -414,6 +560,29 @@ def test_geometry_from_spec_rejections():
     ):
         with pytest.raises(GeometryError):
             geometry_from_spec(bad)
+
+
+def test_geometry_from_spec_takes_numbers_only():
+    bad_specs = {
+        "angles": [{"angles": ["80", "70", "30"]}, {"angles": [80, 70, True]},
+                   {"angles": [80, 70, None]}, {"angles": "80,70,30"}],
+        "vertices": [{"vertices": [[True, True], [2, 0], [0, 2]]},
+                     {"vertices": [[0, 0], ["2", 0], [0, 2]]},
+                     {"vertices": [[0, 0], [2, 0], [2, 2], [0, "2"]]},
+                     {"vertices": np.array([[0, 0], [1, 0], [0, 1]], dtype=bool)}],
+        "scale": [{"angles": [80, 70, 30], "scale": "2"},
+                  {"vertices": [[0, 0], [2, 0], [0, 2]], "scale": True},
+                  {"angles": [80, 70, 30], "scale": None}],
+    }
+    for key, specs in bad_specs.items():
+        for spec in specs:
+            with pytest.raises(GeometryError, match=f'"{key}" takes numbers only'):
+                geometry_from_spec(spec)
+    # numbers of any numeric type are taken
+    tri = geometry_from_spec({"angles": [np.int64(80), 70.0, 30], "scale": np.float64(2)})
+    assert tri.side_lengths[0] == pytest.approx(2.0, rel=1e-12)
+    poly = geometry_from_spec({"vertices": np.array([[0, 0], [2, 0], [2, 1], [0, 1]])})
+    assert poly.area == pytest.approx(2.0, rel=1e-12)
 
 
 def test_geometry_from_spec_checks_angles_in_degrees():

@@ -1,9 +1,7 @@
 """Tests for the sampling oracle and the CDF distance."""
 
-import importlib.util
 import math
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +29,7 @@ from polydist.mc_oracle import (
     sample_uniform_triangle,
 )
 
-from shapes import regular_polygon, square
+from shapes import benchmark_star, regular_polygon, square
 
 RIGHT = Triangle.from_vertices((0, 0), (1, 0), (0, 1))
 
@@ -221,15 +219,6 @@ def test_fold_matches_boolean_mask_fold_bit_for_bit():
     np.testing.assert_array_equal(got[reflected], 1.0 - rows[reflected])
 
 
-def _benchmark_star(n: int, seed: int) -> SimplePolygon:
-    """The benchmark's concave star of ``n`` vertices."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return SimplePolygon.from_vertices(workloads.star_polygon(n, np.random.default_rng(seed)))
-
-
 @pytest.mark.parametrize("weights, rounds", [
     (np.ones(4), 0),  # cumulative values 1/4, 1/2, 3/4 on bucket edges
     (np.ones(64), 0),
@@ -239,7 +228,7 @@ def _benchmark_star(n: int, seed: int) -> SimplePolygon:
 ], ids=["equal-4", "equal-64", "unequal-5", "tiny-run", "star200"])
 def test_triangle_index_matches_searchsorted(weights, rounds):
     if isinstance(weights, str):
-        weights = np.array([t.area for t in triangulate(_benchmark_star(200, 19))])
+        weights = np.array([t.area for t in triangulate(benchmark_star(200, 19))])
         assert len(weights) == 198
     index = _TriangleIndex(weights)
     # the cumulative weights as Generator.choice forms them
